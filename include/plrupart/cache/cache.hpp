@@ -73,12 +73,6 @@ class PLRUPART_EXPORT SetAssocCache {
   /// Perform one access for `core` at byte address `addr`. Misses allocate.
   AccessOutcome access(CoreId core, Addr addr, bool write = false);
 
-  /// Same access, but the per-core counters land in `stats` instead of the
-  /// cache's own bundle. The set-sharded simulator runs each shard worker
-  /// with a private bundle (per-set state is disjoint across shards, the
-  /// counters are not) and folds the deltas back via absorb_stats().
-  AccessOutcome access(CoreId core, Addr addr, bool write, CacheStatsBundle& stats);
-
   /// One element of a batched replay (see access_batch).
   struct BatchOp {
     Addr addr = 0;
@@ -93,10 +87,11 @@ class PLRUPART_EXPORT SetAssocCache {
   /// set-lookup chains that serialize the one-at-a-time path. Callers with
   /// naturally batched independent accesses (trace replay between interval
   /// boundaries, the micro benches) get the dependency-hiding for free; the
-  /// set-sharded engine keeps per-op access() because its argmin interleave
-  /// makes each op's issue depend on the previous op's outcome.
+  /// simulator's replay loop keeps per-op access() because its argmin
+  /// interleave makes each op's issue depend on the previous op's outcome.
   void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out);
-  /// Batched replay with externalized statistics (see the 4-arg access()).
+  /// Batched replay whose per-core counters land in `stats` instead of the
+  /// cache's own bundle.
   void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out,
                     CacheStatsBundle& stats);
 
@@ -131,9 +126,6 @@ class PLRUPART_EXPORT SetAssocCache {
   [[nodiscard]] const ReplacementPolicy& policy() const noexcept { return *policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }
   void reset_stats() { stats_.reset(); }
-  /// Fold externally-accumulated counters (see the stats-taking access
-  /// overload) into the cache's canonical bundle.
-  void absorb_stats(const CacheStatsBundle& delta) { stats_.absorb(delta); }
 
   /// Clear all contents, replacement state and statistics.
   void reset();

@@ -13,7 +13,9 @@
 // Sites:
 //   read    ByteReader::fill() — a trace-stream read fails mid-run
 //   write   journal/CSV record commit (AtomicFile) — a result write fails
-//   worker  a set-shard worker dies at an owned L2 access (sharded runs)
+//   worker  the simulator's per-core front end fails producing an op; the
+//           replay surfaces it at exactly that op (counter = the core's op
+//           index, lane = core)
 //
 // Injected faults throw InjectedFault, a TransientError: the SweepExecutor
 // retry budget (--job-retries) treats them exactly like real I/O failures.
@@ -73,7 +75,7 @@ struct PLRUPART_EXPORT FaultSpec {
 /// A spec bound to a seed: the deterministic oracle every instrumented site
 /// consults. Immutable and stateless — safe to share across threads; callers
 /// supply their own opportunity counters (and a lane id when several actors
-/// of the same site run concurrently, e.g. shard workers).
+/// of the same site run concurrently, e.g. one per simulated core).
 class PLRUPART_EXPORT FaultPlan {
  public:
   FaultPlan(FaultSpec spec, std::uint64_t seed) noexcept : spec_(spec), seed_(seed) {}

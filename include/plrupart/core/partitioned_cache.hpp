@@ -101,13 +101,6 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
   [[nodiscard]] const IntervalController* controller() const noexcept {
     return controller_.get();
   }
-  /// Mutable profiler/controller access for the set-sharded simulator's
-  /// interval barrier: shard-replica SDHs are absorbed into the canonical
-  /// profilers, then the controller is ticked from the merged curves.
-  [[nodiscard]] Profiler& profiler_mut(cache::CoreId core);
-  [[nodiscard]] IntervalController* controller_mut() noexcept {
-    return controller_.get();
-  }
   [[nodiscard]] Partition current_partition() const;
 
   /// Hardware-cost summary of the configuration (storage bits; see

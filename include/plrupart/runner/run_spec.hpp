@@ -37,9 +37,8 @@ struct PLRUPART_EXPORT RunSpec {
   /// Per-job deterministic seed (feeds trace generation and the L2's RNG).
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
-  /// Intra-run set-shard workers (SimConfig::sim_threads): 1 = serial,
-  /// 0 = hardware concurrency. Results are identical at any value, so this is
-  /// a performance knob, not part of the job's identity (key() ignores it).
+  /// Deprecated and ignored (SimConfig::sim_threads): set-sharded replay was
+  /// removed. Never part of the job's identity (key() ignores it).
   std::uint32_t sim_threads = 1;
   /// Timing mode (SimConfig::timing_mode). Unlike sim_threads this IS part of
   /// the job's identity — timed results carry extra columns and different
@@ -53,8 +52,8 @@ struct PLRUPART_EXPORT RunSpec {
 };
 
 /// Run one job to completion. Deterministic: identical RunSpecs produce
-/// bit-identical SimResults on any machine, single-threaded or set-sharded
-/// (sim_threads).
+/// bit-identical SimResults on any machine, whether or not the run's front
+/// end gets a thread of its own.
 [[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
 
 /// Supervision knobs threaded into a single job's execution. Like
@@ -64,7 +63,7 @@ struct PLRUPART_EXPORT RunSpec {
 struct PLRUPART_EXPORT ExecuteControls {
   double timeout_s = 0.0;  ///< watchdog deadline (0 = none); see SimConfig
   /// Fault plan armed on this job's trace readers (FaultSite::kRead, lane =
-  /// core) and shard workers (FaultSite::kWorker, lane = shard).
+  /// core) and the simulator's front end (FaultSite::kWorker, lane = core).
   std::shared_ptr<const FaultPlan> faults;
 };
 
@@ -94,7 +93,7 @@ struct PLRUPART_EXPORT RunMatrix {
   std::uint64_t interval_cycles = 1'000'000;
   std::uint32_t sampling_ratio = 32;
   std::uint64_t seed = 1;  ///< root seed; per-job seeds derive from it
-  std::uint32_t sim_threads = 1;  ///< intra-run set-shard workers per job
+  std::uint32_t sim_threads = 1;  ///< deprecated, ignored (see RunSpec)
   sim::TimingMode timing = sim::TimingMode::kFunctional;  ///< all jobs' timing mode
 
   /// Number of jobs in the full matrix.

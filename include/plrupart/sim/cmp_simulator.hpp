@@ -29,14 +29,9 @@ struct PLRUPART_EXPORT SimConfig {
   HierarchyConfig hierarchy;
   std::vector<CoreParams> cores;          ///< one per core (benchmark-specific)
   std::uint64_t instr_limit = 2'000'000;  ///< per-thread MEASURED instructions
-  /// Intra-run parallelism: number of set-shard workers for this run. 1 (the
-  /// default) runs the classic serial loop; 0 means hardware concurrency;
-  /// K > 1 partitions the L2 set space into K shards replayed by K workers
-  /// plus one trace-demux thread, synchronizing only at interval-controller
-  /// boundaries. Results are byte-identical to the serial path at any value.
-  /// Configurations whose replacement policy or profiler carries cache-global
-  /// state (NRU, Random) silently fall back to serial; SimResult::sim_shards
-  /// reports what actually ran.
+  /// Deprecated and ignored: set-sharded replay was removed. Still accepted
+  /// so existing callers compile; the per-core front end decides on its own
+  /// whether a run uses a second thread (see src/sim/front_end.hpp).
   std::uint32_t sim_threads = 1;
   /// Warmup: measurement windows open for ALL cores at the same wall-cycle
   /// instant — the moment the slowest core has committed this many
@@ -48,22 +43,20 @@ struct PLRUPART_EXPORT SimConfig {
   /// explicit warmup is required.
   std::uint64_t warmup_instr = 0;
   /// Watchdog: abort with TimeoutError once the run has consumed this many
-  /// wall-clock seconds (0 disables it). The serial loop polls every few
-  /// thousand ops; the sharded path latches the deadline into the AbortFlag
-  /// that every blocking loop already polls, so a wedged worker aborts and
-  /// joins cleanly instead of hanging the fleet. Wall time never feeds
+  /// wall-clock seconds (0 disables it). The replay polls it every few
+  /// thousand ops and while it waits on the front end. Wall time never feeds
   /// simulation state — a timeout kills the run, it cannot skew its numbers.
   double timeout_s = 0.0;
   /// Deterministic fault plan for instrumented sites inside the simulator
-  /// (FaultSite::kWorker at owned L2 accesses of shard workers). Trace-read
-  /// faults are armed by the caller on each TraceSource; see
+  /// (FaultSite::kWorker, counted in front-end ops per core, lane = core).
+  /// Trace-read faults are armed by the caller on each TraceSource; see
   /// FileTraceSource::set_fault_plan.
   std::shared_ptr<const FaultPlan> faults;
   /// Timed mode (opt-in): overlay the functional replay with the event-driven
   /// MSHR/writeback/banked-DRAM model. The L2 access stream — and with it
   /// every per-interval partition decision — is identical to functional mode
   /// by construction; only the cycle accounting (and the extra TimedStats)
-  /// differ. Timed runs are always serial (sim_threads is ignored).
+  /// differ.
   TimingMode timing_mode = TimingMode::kFunctional;
   TimedParams timed;  ///< knobs of the timed overlay (timing_mode == kTimed)
 };
@@ -81,7 +74,9 @@ struct PLRUPART_EXPORT SimResult {
   double wall_cycles = 0.0;        ///< cycle count of the last thread to finish
   std::uint64_t repartitions = 0;  ///< interval-controller activations
   std::string l2_config;           ///< acronym of the L2 configuration
-  std::uint32_t sim_shards = 1;    ///< set-shard workers the run actually used
+  /// Every L1 access the run simulated: warmup, measured window and the
+  /// runoff of cores that reached their quota early.
+  std::uint64_t simulated_accesses = 0;
   TimingMode timing = TimingMode::kFunctional;  ///< mode that produced this result
   TimedStats timed;  ///< measured-window deltas; all-zero in functional mode
 
@@ -113,18 +108,14 @@ class PLRUPART_EXPORT CmpSimulator {
   /// may be a single entry (applied to all) or one entry per core.
   CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces);
 
-  /// Run to completion and return per-thread results — serially or
-  /// set-sharded per SimConfig::sim_threads, with identical results either
-  /// way. Call once: a second call throws InvariantError (the hierarchy's
-  /// warmed-up state cannot be re-run meaningfully).
+  /// Run to completion and return per-thread results. Call once: a second
+  /// call throws InvariantError (the hierarchy's warmed-up state cannot be
+  /// re-run meaningfully).
   [[nodiscard]] SimResult run();
 
   [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return *hierarchy_; }
 
  private:
-  [[nodiscard]] SimResult run_serial();
-  [[nodiscard]] SimResult run_timed();
-
   SimConfig config_;
   std::vector<std::unique_ptr<TraceSource>> traces_;
   std::unique_ptr<MemoryHierarchy> hierarchy_;

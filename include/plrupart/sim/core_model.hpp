@@ -9,6 +9,7 @@
 
 #include "plrupart/export.hpp"
 
+#include <array>
 #include <cstdint>
 
 #include "plrupart/common/assert.hpp"
@@ -33,25 +34,43 @@ struct PLRUPART_EXPORT CoreParams {
 
 class PLRUPART_EXPORT CoreModel {
  public:
-  explicit CoreModel(const CoreParams& params) : params_(params) { params.validate(); }
+  /// Gaps up to this many instructions are priced from a table.
+  static constexpr std::uint32_t kGapTableMax = 64;
+
+  explicit CoreModel(const CoreParams& params) : params_(params) {
+    params.validate();
+    // Each cached value is computed by the exact expression the per-op
+    // formula used, so the accumulated cycles are bit-identical to dividing
+    // by base_ipc on every op.
+    for (std::uint32_t k = 0; k <= kGapTableMax; ++k)
+      gap_table_[k] = static_cast<double>(k) / params_.base_ipc;
+    mem_issue_ = 1.0 / params_.base_ipc;
+    l2_stall_ = params_.l2_hit_penalty * params_.stall_fraction;
+    mem_stall_ = params_.mem_penalty * params_.stall_fraction;
+  }
+
+  /// Cycles to retire `n` instructions at base IPC: n / base_ipc.
+  [[nodiscard]] double gap_cycles(std::uint32_t n) const noexcept {
+    return n <= kGapTableMax ? gap_table_[n] : static_cast<double>(n) / params_.base_ipc;
+  }
 
   /// Commit `n` non-memory instructions.
   void commit_gap(std::uint32_t n) noexcept {
-    cycles_ += static_cast<double>(n) / params_.base_ipc;
+    cycles_ += gap_cycles(n);
     instructions_ += n;
   }
 
   /// Commit one memory instruction satisfied at `level`.
   void commit_mem(AccessLevel level) noexcept {
-    cycles_ += 1.0 / params_.base_ipc;
+    cycles_ += mem_issue_;
     switch (level) {
       case AccessLevel::kL1:
         break;  // pipelined L1 hit
       case AccessLevel::kL2:
-        cycles_ += params_.l2_hit_penalty * params_.stall_fraction;
+        cycles_ += l2_stall_;
         break;
       case AccessLevel::kMemory:
-        cycles_ += params_.mem_penalty * params_.stall_fraction;
+        cycles_ += mem_stall_;
         break;
     }
     ++instructions_;
@@ -73,6 +92,10 @@ class PLRUPART_EXPORT CoreModel {
   CoreParams params_;
   double cycles_ = 0.0;
   std::uint64_t instructions_ = 0;
+  double mem_issue_ = 0.0;  ///< 1 / base_ipc
+  double l2_stall_ = 0.0;   ///< l2_hit_penalty * stall_fraction
+  double mem_stall_ = 0.0;  ///< mem_penalty * stall_fraction
+  std::array<double, kGapTableMax + 1> gap_table_{};  ///< k / base_ipc
 };
 
 }  // namespace plrupart::sim

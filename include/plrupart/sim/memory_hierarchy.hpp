@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "plrupart/cache/cache.hpp"
+#include "plrupart/cache/private_lru_cache.hpp"
 #include "plrupart/core/partitioned_cache.hpp"
 #include "plrupart/sim/core_model.hpp"
 
@@ -36,50 +37,51 @@ struct PLRUPART_EXPORT HierarchyCounters {
   std::uint64_t l2_misses = 0;
 };
 
-/// What the shared L2 saw during one hierarchy access — everything the timed
-/// overlay needs to charge cycles without re-deriving cache state. Filled only
-/// when the access misses L1 (reached_l2); line/way/eviction fields mirror the
-/// L2's AccessOutcome at line granularity.
-struct PLRUPART_EXPORT L2Echo {
-  bool reached_l2 = false;  ///< the access missed L1 and probed the L2
-  bool hit = false;         ///< L2 hit (reached_l2 only)
-  std::uint32_t way = 0;    ///< way touched or filled
-  bool evicted_valid = false;
-  cache::Addr evicted_line = 0;  ///< line-granular victim address
-};
-
 class PLRUPART_EXPORT MemoryHierarchy {
  public:
   explicit MemoryHierarchy(HierarchyConfig config);
 
   /// One data access by `core`; returns the level that satisfied it.
   AccessLevel access(cache::CoreId core, cache::Addr addr, bool write,
-                     std::uint64_t now_cycles);
+                     std::uint64_t now_cycles) {
+    PLRUPART_ASSERT(core < l1d_.size());
+    cache::AccessOutcome l2;
+    return access_shared(core, addr, write, l1d_[core].access(0, addr, write).hit, now_cycles,
+                         l2);
+  }
 
-  /// Same access, echoing the L2 outcome for the timed overlay. The
-  /// functional side effects are identical to the plain overload (this IS the
-  /// plain overload plus an out-parameter).
-  AccessLevel access(cache::CoreId core, cache::Addr addr, bool write,
-                     std::uint64_t now_cycles, L2Echo& echo);
+  /// The shared half of access(), for a caller that ran the private L1
+  /// itself (the simulator's per-core front end): count one access whose L1
+  /// outcome is `l1_hit` and, on an L1 miss, access the shared L2. `l2`
+  /// receives the L2 outcome (untouched on an L1 hit).
+  AccessLevel access_shared(cache::CoreId core, cache::Addr addr, bool write, bool l1_hit,
+                            std::uint64_t now_cycles, cache::AccessOutcome& l2) {
+    HierarchyCounters& ctr = counters_[core];
+    ++ctr.l1_accesses;
+    if (l1_hit) return AccessLevel::kL1;
+    ++ctr.l1_misses;
+    ++ctr.l2_accesses;
+    l2 = l2_->access(core, addr, write, now_cycles);
+    if (l2.hit) return AccessLevel::kL2;
+    ++ctr.l2_misses;
+    return AccessLevel::kMemory;
+  }
 
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
   [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return *l2_; }
   [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return *l2_; }
-  [[nodiscard]] const cache::SetAssocCache& l1d(cache::CoreId core) const;
+  [[nodiscard]] const cache::PrivateLruCache& l1d(cache::CoreId core) const;
   [[nodiscard]] const HierarchyCounters& counters(cache::CoreId core) const;
-  /// Mutable L1/counter access for the set-sharded simulator: its demux
-  /// thread drives the private L1s directly (they filter the streams the
-  /// shard workers consume), and the driver installs the replicated counters
-  /// when the workers join.
-  [[nodiscard]] cache::SetAssocCache& l1d_mut(cache::CoreId core);
-  void set_counters(cache::CoreId core, const HierarchyCounters& ctr);
+  /// Mutable L1 access for callers that drive the private L1s themselves
+  /// (the simulator's front end; see access_shared).
+  [[nodiscard]] cache::PrivateLruCache& l1d_mut(cache::CoreId core);
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
 
   void reset();
 
  private:
   HierarchyConfig config_;
-  std::vector<std::unique_ptr<cache::SetAssocCache>> l1d_;
+  std::vector<cache::PrivateLruCache> l1d_;
   std::unique_ptr<core::PartitionedCacheSystem> l2_;
   std::vector<HierarchyCounters> counters_;
 };

@@ -73,18 +73,36 @@ class PLRUPART_EXPORT SyntheticTrace final : public sim::TraceSource {
   }
 
  private:
+  /// Per-component generation state, with every per-op constant precomputed
+  /// so next() does no divisions: the region's line count, the stride reduced
+  /// mod that count, and a scan position kept already reduced mod it.
+  struct Component {
+    PatternKind kind = PatternKind::kRandomRegion;
+    std::uint64_t base = 0;   ///< absolute base address
+    std::uint64_t lines = 1;  ///< region_bytes / line size
+    std::uint64_t step = 0;   ///< stride in lines, mod `lines` (kStridedLoop)
+    std::uint64_t pos = 0;    ///< next line offset, always < `lines`
+    double skew = 1.0;
+  };
+
   [[nodiscard]] std::size_t pick_component();
   [[nodiscard]] cache::Addr component_address(std::size_t idx);
+  /// Load the weights of phase rotation `rot_` into `rot_weights_`.
+  void apply_rotation();
 
   BenchmarkProfile profile_;
   std::uint64_t base_addr_;
   std::uint64_t seed_;
   Rng rng_;
-  std::vector<std::uint64_t> bases_;    // absolute base address per component
-  std::vector<std::uint64_t> cursors_;  // scan position per component
+  std::vector<Component> comps_;
+  std::vector<double> rot_weights_;  ///< rot_weights_[i] = weight of comp (i + rot_) % n
   std::uint64_t ops_ = 0;
+  double mean_gap_ = 0.0;  ///< (1 - mem_fraction) / mem_fraction
   double gap_carry_ = 0.0;
   double total_weight_ = 0.0;
+  std::uint64_t l1_lines_ = 1;      ///< l1_region_bytes / line size
+  std::size_t rot_ = 0;             ///< phase() % components
+  std::uint64_t phase_left_ = 0;    ///< ops until the next rotation (phased profiles)
 };
 
 /// Build the trace for one benchmark instance running on `core_id` (the id

@@ -1,7 +1,7 @@
 // The kScalar access path. The byte-loop reference tier exists for
 // bit-identity proofs, not throughput, so its access_impl matrix is
 // instantiated here — its own TU, like the AVX tiers — rather than inside
-// cache.cpp / cache_batch.cpp / cache_shard_access.cpp: a second full
+// cache.cpp / cache_batch.cpp: a second full
 // instantiation in those TUs pushes the policy-visit switch past the
 // inliner's budget and measurably regresses BM_CacheAccess on the tier that
 // matters (see access_impl.ipp).

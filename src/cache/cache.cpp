@@ -72,9 +72,7 @@ WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
   return valid != 0 ? valid : all_ways_;
 }
 
-// The serial hot path. The externalized-stats 4-arg overload lives in
-// cache_shard_access.cpp so its access_impl instantiations cannot perturb
-// this TU's codegen, and the AVX tiers live in src/cache/simd/access_*.cpp
+// The serial hot path. The AVX tiers live in src/cache/simd/access_*.cpp
 // (the only TUs built with the matching -m flags) — see access_impl.ipp.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
   switch (dispatch_) {

@@ -1,6 +1,6 @@
 // Batched access entry points (see SetAssocCache::access_batch). The portable
-// tiers' batch drivers are instantiated here — their own TU, like the shard
-// access path, so the serial per-op hot path's codegen (cache.cpp) stays
+// tiers' batch drivers are instantiated here — their own TU, so the serial
+// per-op hot path's codegen (cache.cpp) stays
 // untouched; the AVX batch drivers live in src/cache/simd/access_*.cpp.
 #include "plrupart/cache/cache.hpp"
 

@@ -27,25 +27,18 @@ namespace {
 
 /// Per-job throughput line on stderr ([n/total] <key> done ...).
 void log_progress(const JobResult& jr, std::size_t n, std::size_t total, double secs) {
-  // Simulated memory accesses per wall second for this job (counted
-  // over the measured window), so sweep throughput — the quantity the
-  // hot-path work optimizes — is visible in the field.
-  std::uint64_t accesses = 0;
-  for (const auto& th : jr.result.threads) accesses += th.mem.l1_accesses;
-  const double rate = secs > 0.0 ? static_cast<double>(accesses) / secs : 0.0;
+  // Every L1 access the job simulated (warmup and runoff included) per wall
+  // second of the job, so numerator and denominator cover the same work.
+  const double rate =
+      secs > 0.0 ? static_cast<double>(jr.result.simulated_accesses) / secs : 0.0;
   if (jr.result.timing == sim::TimingMode::kTimed) {
     // Timed runs report simulated cycle throughput too — acc/s alone would
     // misleadingly undersell the (slower, event-driven) timed path.
     const double cyc_rate = secs > 0.0 ? jr.result.wall_cycles / secs : 0.0;
-    std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM acc/s, %.1fM cyc/s)\n", n,
+    std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM sim acc/s, %.1fM cyc/s)\n", n,
                  total, jr.spec.key().c_str(), rate / 1e6, cyc_rate / 1e6);
-  } else if (jr.result.sim_shards > 1) {
-    // Rate is the aggregate across the job's intra-run shard workers;
-    // surface the shard count so scaling is visible in the field.
-    std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM acc/s, %u shards)\n", n,
-                 total, jr.spec.key().c_str(), rate / 1e6, jr.result.sim_shards);
   } else {
-    std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM acc/s)\n", n, total,
+    std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM sim acc/s)\n", n, total,
                  jr.spec.key().c_str(), rate / 1e6);
   }
 }

@@ -1,14 +1,235 @@
+// CmpSimulator's replay: one loop for both timing modes.
+//
+// Every run is split in two. The per-core front end (sim/front_end.hpp) runs
+// each core's trace source through its private L1 and hands over one record
+// per op. The back end below does only the shared work: the argmin
+// interleave over core clocks, the shared L2 with its profilers and interval
+// controller, warmup windows, freeze at quota, and pricing. Pricing is the
+// one point where the timing modes differ: FixedLatency charges CoreModel's
+// fixed penalties; TimedOverlay additionally runs the event-driven
+// MSHR/writeback/banked-DRAM model (TimedMemory) on a second per-core clock,
+// which is what a timed run reports. Both see the same interleave (argmin
+// over the FUNCTIONAL clocks) and stamp the L2 with the same `now`, so the
+// shared L2 observes the exact same access stream in both modes and the
+// controller takes the same partition decisions at the same accesses.
 #include "plrupart/sim/cmp_simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <string>
 
 #include "plrupart/common/error.hpp"
-#include "sim/sharded_replay.hpp"
+#include "sim/front_end.hpp"
 
 namespace plrupart::sim {
+
+namespace {
+
+using internal::OpRecord;
+
+/// Functional pricing: the fixed latencies CoreModel already charged.
+struct FixedLatency {
+  static constexpr const char* kRunLabel = "serial run";
+  void on_op(std::uint32_t /*core*/, const OpRecord& /*op*/,
+             const cache::AccessOutcome& /*l2*/) {}
+  [[nodiscard]] static double clock(const CoreModel& model, std::uint32_t /*core*/) {
+    return model.cycles();
+  }
+  void open_window() {}
+  void freeze(std::uint32_t /*core*/) {}
+  void finish(SimResult& /*out*/) const {}
+};
+
+/// Timed pricing. A core keeps at most one L2 transaction in flight (its
+/// `outstanding` ticket). L1 hits retire under it — hit-under-miss — and the
+/// fill is awaited lazily at the core's next L2-reaching access, charging
+/// only the exposed fraction of whatever latency is still uncovered at that
+/// point. Cross-core concurrency is real: many cores' fills occupy MSHRs and
+/// DRAM banks at once, which is where queueing, coalescing, and bank
+/// conflicts come from.
+class TimedOverlay {
+ public:
+  static constexpr const char* kRunLabel = "timed run";
+
+  TimedOverlay(const SimConfig& config, const std::vector<CoreModel>& models)
+      : config_(config),
+        models_(models),
+        l2geo_(config.hierarchy.l2.geometry),
+        memory_(config.timed, l2geo_),
+        cores_(models.size()) {}
+
+  void on_op(std::uint32_t core, const OpRecord& op, const cache::AccessOutcome& l2) {
+    // Same committed instructions as the functional clock, latency from the model.
+    Core& tc = cores_[core];
+    const double stall = config_.cores[core].stall_fraction;
+    tc.cycles += models_[core].gap_cycles(std::uint64_t{op.gap_instrs} + 1);
+    if (op.l1_hit) return;
+    // One demand transaction in flight per core: the previous one must
+    // retire before the next issues (L1 hits in between already proceeded).
+    retire(core);
+    const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
+    const cache::Addr line = l2geo_.line_addr(op.addr);
+    if (l2.hit) {
+      const auto tk = memory_.hit(t_issue, line, l2.way, op.write);
+      if (tk.valid) {
+        // Fill still in flight: this "hit" waits on the fill, not the array.
+        tc.outstanding = tk;
+        tc.has_outstanding = true;
+      } else {
+        tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * stall;
+      }
+    } else {
+      tc.outstanding =
+          memory_.miss(t_issue, line, l2.way, op.write, l2.evicted_valid, l2.evicted_line);
+      tc.has_outstanding = true;
+    }
+  }
+
+  [[nodiscard]] double clock(const CoreModel& /*model*/, std::uint32_t core) const {
+    return cores_[core].cycles;
+  }
+
+  /// Settle every in-flight transaction so the measured window starts from
+  /// a clean overlay, then restart peak tracking.
+  void open_window() {
+    for (std::uint32_t i = 0; i < cores_.size(); ++i) retire(i);
+    memory_.mark();
+    stats_base_ = memory_.stats();
+  }
+
+  void freeze(std::uint32_t core) { retire(core); }  // the quota's last miss counts
+
+  void finish(SimResult& out) const {
+    out.timing = TimingMode::kTimed;
+    out.timed = memory_.stats().delta_since(stats_base_);
+  }
+
+ private:
+  struct Core {
+    double cycles = 0.0;  ///< the timed clock (what this mode reports)
+    TimedMemory::Ticket outstanding{};
+    bool has_outstanding = false;
+  };
+
+  /// Await core's in-flight L2 transaction and charge the exposed remainder.
+  void retire(std::uint32_t core) {
+    Core& tc = cores_[core];
+    if (!tc.has_outstanding) return;
+    const auto done = static_cast<double>(memory_.retire(tc.outstanding));
+    tc.has_outstanding = false;
+    if (done > tc.cycles) tc.cycles += (done - tc.cycles) * config_.cores[core].stall_fraction;
+  }
+
+  const SimConfig& config_;
+  const std::vector<CoreModel>& models_;
+  const cache::Geometry& l2geo_;
+  TimedMemory memory_;
+  std::vector<Core> cores_;
+  TimedStats stats_base_;  ///< overlay counters at window open
+};
+
+/// The replay loop. `make_pricing(models)` builds the pricing hook over the
+/// functional clocks.
+template <class Pricing, class MakePricing>
+SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSource>>& traces,
+                 MemoryHierarchy& hierarchy, MakePricing make_pricing) {
+  const internal::ReplayCpuLease lease;
+  const std::uint32_t n = hierarchy.num_cores();
+  std::vector<CoreModel> models;
+  models.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config.cores[i]);
+  Pricing pricing = make_pricing(models);
+
+  std::vector<std::string> names(n);
+  for (std::uint32_t i = 0; i < n; ++i) names[i] = traces[i]->name();
+
+  struct Baseline {
+    std::uint64_t instructions = 0;
+    double cycles = 0.0;
+    HierarchyCounters mem;
+  };
+  std::vector<Baseline> baselines(n);
+  bool windows_open = config.warmup_instr == 0;
+  std::vector<std::uint8_t> frozen(n, 0);
+  std::vector<ThreadResult> results(n);
+  std::uint32_t remaining = n;
+  std::uint64_t ops = 0;
+
+  const internal::Watchdog watchdog(config.timeout_s, Pricing::kRunLabel);
+  const bool has_deadline = config.timeout_s > 0.0;
+  internal::FrontEnd front(traces, hierarchy, config.faults.get(), watchdog);
+
+  while (remaining > 0) {
+    if (has_deadline && (++ops & 0xfffU) == 0) watchdog.check();
+    // Advance the core with the smallest local clock, lowest index on ties
+    // (finished cores keep running to preserve contention, with frozen
+    // statistics).
+    std::uint32_t core = 0;
+    double min_cycles = std::numeric_limits<double>::infinity();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (models[i].cycles() < min_cycles) {
+        min_cycles = models[i].cycles();
+        core = i;
+      }
+    }
+
+    const OpRecord op = front.next(core);
+    CoreModel& model = models[core];
+    model.commit_gap(op.gap_instrs);
+    const auto now = static_cast<std::uint64_t>(model.cycles());
+    cache::AccessOutcome l2;
+    model.commit_mem(hierarchy.access_shared(core, op.addr, op.write, op.l1_hit, now, l2));
+    pricing.on_op(core, op, l2);
+
+    if (!windows_open) {
+      // Windows open for everyone at once, when the slowest core has warmed.
+      std::uint64_t min_instr = models[0].instructions();
+      for (std::uint32_t i = 1; i < n; ++i)
+        min_instr = std::min(min_instr, models[i].instructions());
+      if (min_instr >= config.warmup_instr) {
+        windows_open = true;
+        pricing.open_window();
+        for (std::uint32_t i = 0; i < n; ++i) {
+          baselines[i].instructions = models[i].instructions();
+          baselines[i].cycles = pricing.clock(models[i], i);
+          baselines[i].mem = hierarchy.counters(i);
+        }
+      }
+      continue;
+    }
+
+    if (frozen[core] == 0 &&
+        model.instructions() >= baselines[core].instructions + config.instr_limit) {
+      frozen[core] = 1;
+      --remaining;
+      pricing.freeze(core);
+      const Baseline& base = baselines[core];
+      ThreadResult& r = results[core];
+      r.benchmark = names[core];
+      r.instructions = model.instructions() - base.instructions;
+      r.cycles = pricing.clock(model, core) - base.cycles;
+      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
+      const HierarchyCounters& now_mem = hierarchy.counters(core);
+      r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
+      r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
+      r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
+      r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
+    }
+  }
+
+  SimResult out;
+  out.threads = std::move(results);
+  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
+  for (std::uint32_t i = 0; i < n; ++i)
+    out.simulated_accesses += hierarchy.counters(i).l1_accesses;
+  const auto* ctrl = hierarchy.l2().controller();
+  out.repartitions = ctrl ? ctrl->history().size() : 0;
+  out.l2_config = hierarchy.l2().config().acronym();
+  pricing.finish(out);
+  return out;
+}
+
+}  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
     : config_(std::move(config)), traces_(std::move(traces)) {
@@ -33,106 +254,14 @@ SimResult CmpSimulator::run() {
   }
   ran_ = true;
 
-  if (config_.timing_mode == TimingMode::kTimed) return run_timed();
-
-  const std::uint32_t shards = internal::resolve_sim_shards(config_);
-  if (shards > 1) {
-    return internal::run_set_sharded(config_, traces_, *hierarchy_, shards);
+  if (config_.timing_mode == TimingMode::kTimed) {
+    return replay<TimedOverlay>(config_, traces_, *hierarchy_,
+                                [&](const std::vector<CoreModel>& models) {
+                                  return TimedOverlay(config_, models);
+                                });
   }
-  return run_serial();
-}
-
-SimResult CmpSimulator::run_serial() {
-  const std::uint32_t n = hierarchy_->num_cores();
-  std::vector<CoreModel> models;
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config_.cores[i]);
-
-  struct Baseline {
-    std::uint64_t instructions = 0;
-    double cycles = 0.0;
-    HierarchyCounters mem;
-  };
-  std::vector<Baseline> baselines(n);
-  bool windows_open = config_.warmup_instr == 0;
-
-  std::vector<bool> frozen(n, false);
-  std::vector<ThreadResult> results(n);
-  std::uint32_t remaining = n;
-
-  // Watchdog: wall time is only ever compared against the deadline — it
-  // decides whether the run dies, never what the run computes.
-  const bool has_deadline = config_.timeout_s > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(has_deadline ? config_.timeout_s : 0.0));
-  std::uint64_t ops_since_poll = 0;
-
-  while (remaining > 0) {
-    if (has_deadline && (++ops_since_poll & 0xfffU) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(config_.timeout_s) + " s (serial run)");
-    }
-    // Advance the core with the smallest local clock (finished cores keep
-    // running to preserve contention, with frozen statistics).
-    std::uint32_t core = 0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (models[i].cycles() < min_cycles) {
-        min_cycles = models[i].cycles();
-        core = i;
-      }
-    }
-
-    const MemOp op = traces_[core]->next();
-    models[core].commit_gap(op.gap_instrs);
-    const auto now = static_cast<std::uint64_t>(models[core].cycles());
-    const AccessLevel level = hierarchy_->access(core, op.addr, op.write, now);
-    models[core].commit_mem(level);
-
-    if (!windows_open) {
-      // Windows open for everyone at once, when the slowest core has warmed.
-      std::uint64_t min_instr = models[0].instructions();
-      for (std::uint32_t i = 1; i < n; ++i)
-        min_instr = std::min(min_instr, models[i].instructions());
-      if (min_instr >= config_.warmup_instr) {
-        windows_open = true;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = models[i].cycles();
-          baselines[i].mem = hierarchy_->counters(i);
-        }
-      }
-      continue;
-    }
-
-    if (!frozen[core] &&
-        models[core].instructions() >= baselines[core].instructions + config_.instr_limit) {
-      frozen[core] = true;
-      --remaining;
-      const Baseline& base = baselines[core];
-      ThreadResult& r = results[core];
-      r.benchmark = traces_[core]->name();
-      r.instructions = models[core].instructions() - base.instructions;
-      r.cycles = models[core].cycles() - base.cycles;
-      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
-      const HierarchyCounters& now_mem = hierarchy_->counters(core);
-      r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
-      r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
-      r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
-      r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
-    }
-  }
-
-  SimResult out;
-  out.threads = std::move(results);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
-  const auto* ctrl = hierarchy_->l2().controller();
-  out.repartitions = ctrl ? ctrl->history().size() : 0;
-  out.l2_config = hierarchy_->l2().config().acronym();
-  return out;
+  return replay<FixedLatency>(config_, traces_, *hierarchy_,
+                              [](const std::vector<CoreModel>&) { return FixedLatency{}; });
 }
 
 }  // namespace plrupart::sim

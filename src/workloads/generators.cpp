@@ -23,6 +23,7 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr
   profile_.core.validate();
 
   PLRUPART_ASSERT(profile_.l1_fraction >= 0.0 && profile_.l1_fraction < 1.0);
+  mean_gap_ = (1.0 - profile_.mem_fraction) / profile_.mem_fraction;
 
   // Carve disjoint, line-aligned sub-regions: the L1 scratch region first,
   // then the components.
@@ -30,33 +31,49 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr
   if (profile_.l1_fraction > 0.0) {
     PLRUPART_ASSERT(profile_.l1_region_bytes >= kLineBytes);
     offset = align_up(profile_.l1_region_bytes, kLineBytes);
+    l1_lines_ = profile_.l1_region_bytes / kLineBytes;
   }
   for (const auto& c : profile_.components) {
     PLRUPART_ASSERT_MSG(c.region_bytes >= kLineBytes, "component region below one line");
     PLRUPART_ASSERT(c.weight > 0.0);
-    bases_.push_back(base_addr_ + offset);
+    Component comp;
+    comp.kind = c.kind;
+    comp.base = base_addr_ + offset;
+    comp.lines = c.region_bytes / kLineBytes;
+    comp.step = std::max<std::uint64_t>(1, c.stride_bytes / kLineBytes) % comp.lines;
+    comp.skew = c.skew;
+    comps_.push_back(comp);
     offset += align_up(c.region_bytes, kLineBytes);
     total_weight_ += c.weight;
   }
-  cursors_.assign(profile_.components.size(), 0);
+  reset();
 }
 
 void SyntheticTrace::reset() {
   rng_ = Rng(seed_);
-  for (auto& c : cursors_) c = 0;
+  for (auto& c : comps_) c.pos = 0;
   ops_ = 0;
   gap_carry_ = 0.0;
+  rot_ = 0;
+  phase_left_ = profile_.phase_period_ops;
+  apply_rotation();
+}
+
+void SyntheticTrace::apply_rotation() {
+  const std::size_t n = comps_.size();
+  rot_weights_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    rot_weights_[i] = profile_.components[(i + rot_) % n].weight;
 }
 
 std::size_t SyntheticTrace::pick_component() {
-  const std::size_t n = profile_.components.size();
+  const std::size_t n = rot_weights_.size();
   if (n == 1) return 0;
   // Phase behavior: rotate which component each weight applies to, so the
   // dominant working set changes across phases.
-  const std::size_t rot = static_cast<std::size_t>(phase()) % n;
   double r = rng_.next_double() * total_weight_;
   for (std::size_t i = 0; i < n; ++i) {
-    const double w = profile_.components[(i + rot) % n].weight;
+    const double w = rot_weights_[i];
     if (r < w) return i;
     r -= w;
   }
@@ -64,56 +81,58 @@ std::size_t SyntheticTrace::pick_component() {
 }
 
 cache::Addr SyntheticTrace::component_address(std::size_t idx) {
-  const ComponentSpec& c = profile_.components[idx];
-  const std::uint64_t lines = c.region_bytes / kLineBytes;
+  Component& c = comps_[idx];
   std::uint64_t line_off = 0;
   switch (c.kind) {
     case PatternKind::kSequentialStream: {
-      line_off = cursors_[idx] % lines;
-      cursors_[idx] += 1;
+      line_off = c.pos;
+      if (++c.pos == c.lines) c.pos = 0;
       break;
     }
     case PatternKind::kStridedLoop: {
-      const std::uint64_t stride_lines =
-          std::max<std::uint64_t>(1, c.stride_bytes / kLineBytes);
-      line_off = (cursors_[idx] * stride_lines) % lines;
-      cursors_[idx] += 1;
+      // pos == (calls * stride_lines) % lines, advanced without a product.
+      line_off = c.pos;
+      c.pos += c.step;
+      if (c.pos >= c.lines) c.pos -= c.lines;
       break;
     }
     case PatternKind::kRandomRegion:
     case PatternKind::kPointerChase: {
       if (c.skew == 1.0) {
-        line_off = rng_.next_below(lines);
+        line_off = rng_.next_below(c.lines);
       } else {
         const double u = rng_.next_double();
-        line_off = static_cast<std::uint64_t>(static_cast<double>(lines) *
+        line_off = static_cast<std::uint64_t>(static_cast<double>(c.lines) *
                                               std::pow(u, c.skew));
-        if (line_off >= lines) line_off = lines - 1;
+        if (line_off >= c.lines) line_off = c.lines - 1;
       }
       break;
     }
   }
-  return bases_[idx] + line_off * kLineBytes;
+  return c.base + line_off * kLineBytes;
 }
 
 sim::MemOp SyntheticTrace::next() {
   sim::MemOp op;
   // Deterministic fractional pacing of non-memory instructions: on average
   // (1 - f) / f gap instructions per memory op.
-  const double mean_gap = (1.0 - profile_.mem_fraction) / profile_.mem_fraction;
-  gap_carry_ += mean_gap;
+  gap_carry_ += mean_gap_;
   op.gap_instrs = static_cast<std::uint32_t>(gap_carry_);
   gap_carry_ -= op.gap_instrs;
 
   if (profile_.l1_fraction > 0.0 && rng_.next_bool(profile_.l1_fraction)) {
-    const std::uint64_t lines = profile_.l1_region_bytes / kLineBytes;
-    op.addr = base_addr_ + rng_.next_below(lines) * kLineBytes;
+    op.addr = base_addr_ + rng_.next_below(l1_lines_) * kLineBytes;
   } else {
     const std::size_t idx = pick_component();
     op.addr = component_address(idx);
   }
   op.write = rng_.next_bool(profile_.write_fraction);
   ++ops_;
+  if (phase_left_ != 0 && --phase_left_ == 0) {
+    phase_left_ = profile_.phase_period_ops;
+    if (++rot_ == comps_.size()) rot_ = 0;
+    apply_rotation();
+  }
   return op;
 }
 

@@ -1,9 +1,9 @@
 // TSan-facing stress suite: hammers the two places std::thread concurrency
 // lives today — common/parallel.hpp and runner::SweepExecutor — so the
 // ThreadSanitizer tier (PLRUPART_SANITIZE=thread) has real contention to bite
-// on. This is the race-clean baseline the intra-run (set-sharded) parallelism
-// work must keep green: any new cross-thread sharing that reaches these paths
-// shows up here first.
+// on, together with the simulator's per-run front-end worker threads, which
+// start inside sweep jobs whenever a CPU is spare: any new cross-thread
+// sharing that reaches these paths shows up here first.
 //
 // The suite is deliberately repetition-heavy (many rounds x many thread
 // counts): TSan finds races by observing conflicting access pairs, so one
@@ -29,7 +29,6 @@
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 #include "plrupart/workloads/workload_table.hpp"
-#include "sim/sharded_replay.hpp"
 
 namespace plrupart {
 namespace {
@@ -214,9 +213,8 @@ TEST(SweepExecutorStress, ProgressLinesStayWholeUnderOversubscription) {
     ASSERT_TRUE(line.starts_with("plrupart: [")) << "mangled line: " << line;
     ASSERT_NE(line.find("] "), std::string::npos) << line;
     ASSERT_NE(line.find(" done ("), std::string::npos) << "interleaved line: " << line;
-    // Serial jobs end "...M acc/s)", intra-run-sharded jobs "...M acc/s, K shards)".
-    ASSERT_TRUE(line.ends_with("M acc/s)") || line.ends_with("shards)"))
-        << "truncated line: " << line;
+    // The rate names what it counts: every simulated access per wall second.
+    ASSERT_TRUE(line.ends_with("M sim acc/s)")) << "truncated line: " << line;
     const std::size_t open = line.find('[');
     const std::size_t slash = line.find('/', open);
     counters.insert(std::stoul(line.substr(open + 1, slash - open - 1)));
@@ -280,156 +278,10 @@ TEST(SweepExecutorStress, TimedProgressLinesReportSimulatedCycleRate) {
     if (line.empty()) continue;
     ++lines;
     ASSERT_TRUE(line.starts_with("plrupart: [")) << "mangled line: " << line;
-    EXPECT_NE(line.find("M acc/s, "), std::string::npos) << "line: " << line;
+    EXPECT_NE(line.find("M sim acc/s, "), std::string::npos) << "line: " << line;
     EXPECT_TRUE(line.ends_with("M cyc/s)")) << "line: " << line;
   }
   EXPECT_EQ(lines, jobs.size());
-}
-
-// --- Intra-run set-sharded parallelism under contention ---------------------
-
-/// Like stress_matrix(), but with a pseudo-LRU partitioned config (the
-/// paper's centre of mass) alongside the NRU one, so both the set-sharded
-/// path and its silent serial fallback run in every round.
-runner::RunMatrix sharded_stress_matrix() {
-  runner::RunMatrix m = stress_matrix();
-  m.configs = {"M-BT", "NOPART-L", "M-0.75N"};
-  m.workloads.resize(2);
-  return m;
-}
-
-TEST(ShardedSimStress, CsvByteIdenticalAcrossSimThreadCounts) {
-  // The issue contract: {1, 2, 8, hardware} intra-run workers, CSV bytes
-  // identical at every count — here with the sweep pool (2 jobs at a time)
-  // layered on top, so demux/worker threads of different jobs contend.
-  runner::RunMatrix m = sharded_stress_matrix();
-  std::string reference;
-  for (const std::size_t sim_threads : stress_thread_counts()) {
-    m.sim_threads = static_cast<std::uint32_t>(sim_threads);
-    const runner::SweepExecutor ex({.threads = 2, .progress = false});
-    const std::string csv = csv_of(ex.run(m.expand()));
-    if (reference.empty()) {
-      reference = csv;
-      ASSERT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(csv, reference) << "sim_threads=" << sim_threads;
-    }
-  }
-}
-
-TEST(ShardedSimStress, RepeatedShardedRunsAreStable) {
-  // Many short sharded runs back to back: thread creation/join churn is where
-  // lost-wakeup and reuse-after-join bugs live, and TSan needs the repetition
-  // to observe conflicting pairs.
-  runner::RunMatrix m = sharded_stress_matrix();
-  m.configs = {"M-BT"};
-  m.sim_threads = 4;
-  const auto jobs = m.expand();
-  const runner::SweepExecutor ex({.threads = 1, .progress = false});
-  const std::string reference = csv_of(ex.run(jobs));
-  for (int round = 0; round < 5; ++round)
-    EXPECT_EQ(csv_of(ex.run(jobs)), reference) << "round=" << round;
-}
-
-TEST(ShardedSimStress, ProgressLinesReportAggregateShardCount)
-{
-  runner::RunMatrix m = sharded_stress_matrix();
-  m.configs = {"M-BT"};  // every job shardable
-  m.sim_threads = 2;
-  const auto jobs = m.expand();
-  const runner::SweepExecutor ex({.threads = 2, .progress = true});
-  ::testing::internal::CaptureStderr();
-  const auto results = ex.run(jobs);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  ASSERT_EQ(results.size(), jobs.size());
-  for (const auto& jr : results) EXPECT_EQ(jr.result.sim_shards, 2u);
-
-  std::istringstream is(err);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    // The rate is the aggregate across the job's shard workers; the line must
-    // say how many shards produced it.
-    EXPECT_TRUE(line.ends_with("M acc/s, 2 shards)")) << "line: " << line;
-  }
-  EXPECT_EQ(lines, jobs.size());
-}
-
-/// Plumbing for driving the internal engine directly (exception injection
-/// needs ShardedTestHooks, which CmpSimulator does not expose).
-struct ShardedRunParts {
-  sim::SimConfig config;
-  std::vector<std::unique_ptr<sim::TraceSource>> traces;
-  std::unique_ptr<sim::MemoryHierarchy> hierarchy;
-};
-
-ShardedRunParts make_sharded_parts() {
-  ShardedRunParts p;
-  p.config.hierarchy.l1d =
-      cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
-  p.config.hierarchy.l2 = core::CpaConfig::from_acronym(
-      "M-BT", 2,
-      cache::Geometry{.size_bytes = 128 * 1024, .associativity = 16, .line_bytes = 128});
-  p.config.hierarchy.l2.interval_cycles = 20'000;
-  p.config.hierarchy.l2.sampling_ratio = 8;
-  p.config.instr_limit = 8'000;
-  p.config.warmup_instr = 2'000;
-  const char* names[] = {"twolf", "art"};
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    const auto& prof = workloads::benchmark(names[i]);
-    p.config.cores.push_back(prof.core);
-    p.traces.push_back(workloads::make_trace(prof, i, 55));
-  }
-  p.hierarchy = std::make_unique<sim::MemoryHierarchy>(p.config.hierarchy);
-  return p;
-}
-
-TEST(ShardedSimStress, ExceptionInOneShardWorkerJoinsCleanlyAndPropagates) {
-  // One worker throws mid-run while the demux thread and the other workers
-  // are blocked in ring/barrier waits; everything must unwind and join, and
-  // the original exception must surface. Repeated: the abort latch and the
-  // join ordering are themselves shared state worth hammering.
-  for (int round = 0; round < 8; ++round) {
-    ShardedRunParts p = make_sharded_parts();
-    std::atomic<int> owned{0};
-    sim::internal::ShardedTestHooks hooks;
-    hooks.on_owned_access = [&](std::uint32_t shard) {
-      // Let the run reach steady state first, then fail from one shard only.
-      if (shard == 1 && owned.fetch_add(1, std::memory_order_relaxed) > 200)
-        throw std::runtime_error("injected shard failure");
-    };
-    try {
-      (void)sim::internal::run_set_sharded(p.config, p.traces, *p.hierarchy, 4, &hooks);
-      FAIL() << "round " << round << ": injected exception did not propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "injected shard failure") << "round=" << round;
-    }
-  }
-}
-
-TEST(ShardedSimStress, HookSeesOnlyOwnedShardIndices) {
-  // Sanity on the instrumentation point itself: each worker reports only its
-  // own shard index, and all shards end up owning work.
-  ShardedRunParts p = make_sharded_parts();
-  constexpr std::uint32_t kShards = 4;
-  std::array<std::atomic<std::uint64_t>, kShards> per_shard{};
-  sim::internal::ShardedTestHooks hooks;
-  hooks.on_owned_access = [&](std::uint32_t shard) {
-    ASSERT_LT(shard, kShards);
-    per_shard[shard].fetch_add(1, std::memory_order_relaxed);
-  };
-  const auto r =
-      sim::internal::run_set_sharded(p.config, p.traces, *p.hierarchy, kShards, &hooks);
-  EXPECT_EQ(r.sim_shards, kShards);
-  std::uint64_t total = 0;
-  for (const auto& c : per_shard) {
-    EXPECT_GT(c.load(), 0u) << "a shard owned no L2 accesses";
-    total += c.load();
-  }
-  // Every post-L1-miss access is owned by exactly one shard.
-  EXPECT_GT(total, 0u);
 }
 
 }  // namespace

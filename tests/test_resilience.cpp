@@ -515,19 +515,6 @@ TEST_F(SupervisionTest, SerialWatchdogThrowsTimeoutError) {
   }
 }
 
-TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 3;  // under TSan this also proves a race-free abort path
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "the sharded watchdog must trip";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("set-sharded"), std::string::npos) << e.what();
-  }
-}
-
 TEST_F(SupervisionTest, TimeoutsAreNotRetried) {
   const auto m = tiny_matrix();
   runner::SweepOptions opts;
@@ -538,19 +525,19 @@ TEST_F(SupervisionTest, TimeoutsAreNotRetried) {
   EXPECT_THROW((void)runner::SweepExecutor(opts).run(m.expand()), TimeoutError);
 }
 
-TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 2;
+TEST_F(SupervisionTest, WorkerFaultsFireInsideFrontEndRuns) {
+  const auto jobs = tiny_matrix().expand();
   FaultSpec spec;
   spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
   runner::ExecuteControls controls;
   controls.faults = std::make_shared<FaultPlan>(spec, 17);
   try {
     (void)runner::execute(jobs[0], controls);
-    FAIL() << "a p=1 worker plan must kill the first owned access";
+    FAIL() << "a p=1 worker plan must kill the first front-end op";
   } catch (const InjectedFault& e) {
-    EXPECT_NE(std::string(e.what()).find("injected worker fault"), std::string::npos)
-        << e.what();
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("injected worker fault"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("front end, core 0"), std::string::npos) << msg;
   }
 }
 

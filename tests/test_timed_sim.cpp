@@ -92,7 +92,7 @@ void expect_decisions_match(const std::vector<std::string>& names, const char* a
     EXPECT_EQ(f.mem.l2_misses, t.mem.l2_misses) << ctx << " core " << i;
   }
   EXPECT_EQ(timed.timing, TimingMode::kTimed) << ctx;
-  EXPECT_EQ(timed.sim_shards, 1u) << ctx;
+  EXPECT_EQ(functional.simulated_accesses, timed.simulated_accesses) << ctx;
 }
 
 TEST(TimedSim, DecisionMatchGateAllConfigsTwoWorkloads) {
@@ -146,12 +146,12 @@ TEST(TimedSim, TimedIgnoresSimThreadsAndStaysDeterministic) {
   const std::vector<std::string> names{"twolf", "art"};
   SimConfig a = small_config(names, "M-BT", TimingMode::kTimed);
   SimConfig b = a;
-  b.sim_threads = 8;  // must silently run serial with identical results
+  b.sim_threads = 8;  // deprecated and ignored: identical results
   CmpSimulator sim_a(std::move(a), traces_for(names));
   CmpSimulator sim_b(std::move(b), traces_for(names));
   const SimResult ra = sim_a.run();
   const SimResult rb = sim_b.run();
-  EXPECT_EQ(rb.sim_shards, 1u);
+  EXPECT_EQ(ra.simulated_accesses, rb.simulated_accesses);
   ASSERT_EQ(ra.threads.size(), rb.threads.size());
   for (std::size_t i = 0; i < ra.threads.size(); ++i) {
     EXPECT_EQ(ra.threads[i].cycles, rb.threads[i].cycles);
