@@ -114,6 +114,7 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
   [[nodiscard]] std::unique_ptr<PartitionPolicy> make_partition_policy() const;
 
   CpaConfig config_;
+  std::uint32_t line_shift_ = 0;  ///< log2(line bytes): byte -> line address
   std::unique_ptr<cache::SetAssocCache> l2_;
   std::vector<std::unique_ptr<Profiler>> profilers_;
   std::unique_ptr<IntervalController> controller_;

@@ -104,6 +104,7 @@ std::string CpaConfig::acronym() const {
 PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
     : config_(std::move(config)) {
   config_.geometry.validate();
+  line_shift_ = ilog2_exact(config_.geometry.line_bytes);
   PLRUPART_ASSERT(config_.num_cores >= 1);
   PLRUPART_ASSERT_MSG(config_.num_cores <= config_.geometry.associativity,
                       "cannot give every core a way");
@@ -190,7 +191,7 @@ cache::AccessOutcome PartitionedCacheSystem::access(cache::CoreId core, cache::A
                                                     bool write, std::uint64_t now_cycles) {
   PLRUPART_ASSERT(core < config_.num_cores);
   if (config_.partitioned()) {
-    profilers_[core]->record_access(config_.geometry.line_addr(addr));
+    profilers_[core]->record_access(addr >> line_shift_);
     controller_->tick(now_cycles);
   }
   return l2_->access(core, addr, write);

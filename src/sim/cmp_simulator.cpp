@@ -15,9 +15,9 @@
 #include "plrupart/sim/cmp_simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
+#include "plrupart/common/bits.hpp"
 #include "plrupart/common/error.hpp"
 #include "sim/front_end.hpp"
 
@@ -30,7 +30,7 @@ using internal::OpRecord;
 /// Functional pricing: the fixed latencies CoreModel already charged.
 struct FixedLatency {
   static constexpr const char* kRunLabel = "serial run";
-  void on_op(std::uint32_t /*core*/, const OpRecord& /*op*/,
+  void on_op(std::uint32_t /*core*/, const CoreModel& /*model*/, const OpRecord& /*op*/,
              const cache::AccessOutcome& /*l2*/) {}
   [[nodiscard]] static double clock(const CoreModel& model, std::uint32_t /*core*/) {
     return model.cycles();
@@ -51,24 +51,24 @@ class TimedOverlay {
  public:
   static constexpr const char* kRunLabel = "timed run";
 
-  TimedOverlay(const SimConfig& config, const std::vector<CoreModel>& models)
+  explicit TimedOverlay(const SimConfig& config)
       : config_(config),
-        models_(models),
-        l2geo_(config.hierarchy.l2.geometry),
-        memory_(config.timed, l2geo_),
-        cores_(models.size()) {}
+        line_shift_(ilog2_exact(config.hierarchy.l2.geometry.line_bytes)),
+        memory_(config.timed, config.hierarchy.l2.geometry),
+        cores_(config.cores.size()) {}
 
-  void on_op(std::uint32_t core, const OpRecord& op, const cache::AccessOutcome& l2) {
+  void on_op(std::uint32_t core, const CoreModel& model, const OpRecord& op,
+             const cache::AccessOutcome& l2) {
     // Same committed instructions as the functional clock, latency from the model.
     Core& tc = cores_[core];
     const double stall = config_.cores[core].stall_fraction;
-    tc.cycles += models_[core].gap_cycles(std::uint64_t{op.gap_instrs} + 1);
+    tc.cycles += model.gap_cycles(std::uint64_t{op.gap_instrs} + 1);
     if (op.l1_hit) return;
     // One demand transaction in flight per core: the previous one must
     // retire before the next issues (L1 hits in between already proceeded).
     retire(core);
     const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
-    const cache::Addr line = l2geo_.line_addr(op.addr);
+    const cache::Addr line = op.addr >> line_shift_;
     if (l2.hit) {
       const auto tk = memory_.hit(t_issue, line, l2.way, op.write);
       if (tk.valid) {
@@ -121,24 +121,21 @@ class TimedOverlay {
   }
 
   const SimConfig& config_;
-  const std::vector<CoreModel>& models_;
-  const cache::Geometry& l2geo_;
+  std::uint32_t line_shift_;  ///< log2(L2 line bytes)
   TimedMemory memory_;
   std::vector<Core> cores_;
   TimedStats stats_base_;  ///< overlay counters at window open
 };
 
-/// The replay loop. `make_pricing(models)` builds the pricing hook over the
-/// functional clocks.
-template <class Pricing, class MakePricing>
+/// The replay loop: the back end of every run.
+template <class Pricing>
 SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSource>>& traces,
-                 MemoryHierarchy& hierarchy, MakePricing make_pricing) {
-  const internal::ReplayCpuLease lease;
+                 MemoryHierarchy& hierarchy, Pricing& pricing) {
   const std::uint32_t n = hierarchy.num_cores();
-  std::vector<CoreModel> models;
+  std::vector<CoreModel> models;  // functional clocks: they drive the interleave
   models.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config.cores[i]);
-  Pricing pricing = make_pricing(models);
+  std::vector<double> clocks(n, 0.0);  ///< models[i].cycles(), scanned every op
 
   std::vector<std::string> names(n);
   for (std::uint32_t i = 0; i < n; ++i) names[i] = traces[i]->name();
@@ -150,6 +147,8 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
   };
   std::vector<Baseline> baselines(n);
   bool windows_open = config.warmup_instr == 0;
+  std::vector<std::uint8_t> warmed(n, 0);
+  std::uint32_t warmed_cores = 0;
   std::vector<std::uint8_t> frozen(n, 0);
   std::vector<ThreadResult> results(n);
   std::uint32_t remaining = n;
@@ -163,14 +162,13 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
     if (has_deadline && (++ops & 0xfffU) == 0) watchdog.check();
     // Advance the core with the smallest local clock, lowest index on ties
     // (finished cores keep running to preserve contention, with frozen
-    // statistics).
+    // statistics). Branch-free over a contiguous copy of the clocks.
     std::uint32_t core = 0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (models[i].cycles() < min_cycles) {
-        min_cycles = models[i].cycles();
-        core = i;
-      }
+    double min_cycles = clocks[0];
+    for (std::uint32_t i = 1; i < n; ++i) {
+      const bool earlier = clocks[i] < min_cycles;
+      min_cycles = earlier ? clocks[i] : min_cycles;
+      core = earlier ? i : core;
     }
 
     const OpRecord op = front.next(core);
@@ -179,14 +177,17 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
     const auto now = static_cast<std::uint64_t>(model.cycles());
     cache::AccessOutcome l2;
     model.commit_mem(hierarchy.access_shared(core, op.addr, op.write, op.l1_hit, now, l2));
-    pricing.on_op(core, op, l2);
+    clocks[core] = model.cycles();
+    pricing.on_op(core, model, op, l2);
 
     if (!windows_open) {
-      // Windows open for everyone at once, when the slowest core has warmed.
-      std::uint64_t min_instr = models[0].instructions();
-      for (std::uint32_t i = 1; i < n; ++i)
-        min_instr = std::min(min_instr, models[i].instructions());
-      if (min_instr >= config.warmup_instr) {
+      // Windows open for everyone at once, when the slowest core has warmed:
+      // at the op that brings the last core to warmup_instr.
+      if (warmed[core] == 0 && model.instructions() >= config.warmup_instr) {
+        warmed[core] = 1;
+        ++warmed_cores;
+      }
+      if (warmed_cores == n) {
         windows_open = true;
         pricing.open_window();
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -255,13 +256,11 @@ SimResult CmpSimulator::run() {
   ran_ = true;
 
   if (config_.timing_mode == TimingMode::kTimed) {
-    return replay<TimedOverlay>(config_, traces_, *hierarchy_,
-                                [&](const std::vector<CoreModel>& models) {
-                                  return TimedOverlay(config_, models);
-                                });
+    TimedOverlay timed(config_);
+    return replay(config_, traces_, *hierarchy_, timed);
   }
-  return replay<FixedLatency>(config_, traces_, *hierarchy_,
-                              [](const std::vector<CoreModel>&) { return FixedLatency{}; });
+  FixedLatency functional;
+  return replay(config_, traces_, *hierarchy_, functional);
 }
 
 }  // namespace plrupart::sim

@@ -76,10 +76,6 @@ void Watchdog::check() const {
   if (armed_ && std::chrono::steady_clock::now() >= deadline_) throw TimeoutError(what_);
 }
 
-ReplayCpuLease::ReplayCpuLease() noexcept { g_busy.fetch_add(1, std::memory_order_relaxed); }
-
-ReplayCpuLease::~ReplayCpuLease() { g_busy.fetch_sub(1, std::memory_order_relaxed); }
-
 FrontEnd::FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces,
                    MemoryHierarchy& hierarchy, const FaultPlan* faults,
                    const Watchdog& watchdog)
@@ -102,12 +98,13 @@ FrontEnd::FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces,
     l.block = std::min<std::uint64_t>(l.block, block_cap_);
     if (faults_ != nullptr) l.fault_context = "front end, core " + std::to_string(c);
   }
+  g_busy.fetch_add(1, std::memory_order_relaxed);  // this run's replay thread
 }
 
 FrontEnd::~FrontEnd() {
   stop_.store(true, std::memory_order_release);
   if (worker_.joinable()) worker_.join();
-  if (holds_cpu_) g_busy.fetch_sub(1, std::memory_order_relaxed);
+  g_busy.fetch_sub(holds_cpu_ ? 2 : 1, std::memory_order_relaxed);
 }
 
 void FrontEnd::refill(Lane& l) {

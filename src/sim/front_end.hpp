@@ -71,22 +71,15 @@ class Watchdog {
   std::string what_;
 };
 
-/// Counts one running replay against the process's CPU budget.
-class ReplayCpuLease {
- public:
-  ReplayCpuLease() noexcept;
-  ~ReplayCpuLease();
-  ReplayCpuLease(const ReplayCpuLease&) = delete;
-  ReplayCpuLease& operator=(const ReplayCpuLease&) = delete;
-};
-
 class FrontEnd {
  public:
   /// A worker may start once the run has consumed this many ops.
   static constexpr std::uint64_t kWorkerAfterOps = std::uint64_t{64} << 10;
 
   /// `faults` arms the `worker` site (counted in front-end ops per core);
-  /// `watchdog` is polled while the replay waits on a block.
+  /// `watchdog` is polled while the replay waits on a block. The replay that
+  /// owns this front end counts against the process's CPU budget for the
+  /// front end's lifetime.
   FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces, MemoryHierarchy& hierarchy,
            const FaultPlan* faults, const Watchdog& watchdog);
   ~FrontEnd();

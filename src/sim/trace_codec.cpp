@@ -1,14 +1,29 @@
 #include "plrupart/sim/trace_codec.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
 namespace plrupart::sim {
 
+namespace {
+
+/// fopen that survives signals: opening a FIFO blocks until a writer
+/// arrives, and a signal delivered meanwhile fails the open with EINTR.
+std::FILE* open_for_reading(const std::string& path) {
+  for (;;) {
+    errno = 0;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (f != nullptr || errno != EINTR) return f;
+  }
+}
+
+}  // namespace
+
 ByteReader::ByteReader(std::string path, std::size_t buffer_bytes)
     : path_(std::move(path)),
-      in_(std::fopen(path_.c_str(), "rb")),
+      in_(open_for_reading(path_)),
       buf_(buffer_bytes > 0 ? buffer_bytes : 1) {
   if (in_ == nullptr) throw TraceError("cannot open trace file '" + path_ + "'");
 }

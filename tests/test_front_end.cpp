@@ -194,6 +194,30 @@ TEST(FrontEnd, WorkerAndInlineAgreeOnLongFourCoreRuns) {
   }
 }
 
+TEST(FrontEnd, ZeroWarmupAndSingleCoreRunsAgree) {
+  // Degenerate corners: no warmup baseline snapshot, and a one-core "CMP"
+  // (argmin always picks core 0, one lane gets the whole ring budget).
+  const std::vector<std::string> names{"twolf"};
+  const SimConfig cfg = config_for(names, "NOPART-BT", TimingMode::kFunctional, 300'000, 0);
+  const auto inline_run = run(FrontEndMode::kInline, cfg, traces_for(names));
+  const auto worker_run = run(FrontEndMode::kWorker, cfg, traces_for(names));
+  ASSERT_TRUE(inline_run.error.empty()) << inline_run.error;
+  expect_same(inline_run, worker_run, "NOPART-BT 1-core warmup=0");
+}
+
+TEST(FrontEnd, SecondRunThrowsInvariantErrorOnBothPaths) {
+  // run() consumes the hierarchy (warm caches, controller history); calling
+  // it again must fail loudly with InvariantError, not return warm garbage.
+  const std::vector<std::string> names{"twolf", "art"};
+  for (const FrontEndMode mode : {FrontEndMode::kInline, FrontEndMode::kWorker}) {
+    const ScopedMode scoped(mode);
+    CmpSimulator sim(config_for(names, "M-BT", TimingMode::kFunctional, 5'000, 0),
+                     traces_for(names));
+    (void)sim.run();
+    EXPECT_THROW((void)sim.run(), InvariantError);
+  }
+}
+
 TEST(FrontEnd, InlineModeNeverStartsAWorker) {
   const SimConfig cfg = config_for(kMix, "M-0.75N", TimingMode::kFunctional, 200'000, 0);
   const std::uint64_t started = internal::front_end_workers_started();
