@@ -73,8 +73,9 @@ class PLRUPART_EXPORT PrivateLruCache {
 
   /// Empty every set and restore the reset stack order.
   void reset() {
-    for (std::uint64_t i = 0; i < pos_.size(); ++i)
-      pos_[i] = static_cast<std::uint8_t>(i % ways_);
+    for (std::uint64_t set = 0; set < fill_.size(); ++set)
+      for (std::uint32_t w = 0; w < ways_; ++w)
+        pos_[set * ways_ + w] = static_cast<std::uint8_t>(w);
     for (auto& f : fill_) f = 0;
   }
 

@@ -64,16 +64,18 @@ std::uint64_t front_end_workers_started() noexcept {
   return g_workers_started.load(std::memory_order_relaxed);
 }
 
-Watchdog::Watchdog(double timeout_s, std::string what)
-    : armed_(timeout_s > 0.0),
-      deadline_(std::chrono::steady_clock::now() +
+Watchdog::Watchdog(double timeout_s, const char* what) : timeout_s_(timeout_s), what_(what) {
+  if (timeout_s_ > 0.0)
+    deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(armed_ ? timeout_s : 0.0))),
-      what_("simulation exceeded watchdog deadline of " + std::to_string(timeout_s) + " s (" +
-            what + ")") {}
+                    std::chrono::duration<double>(timeout_s_));
+}
 
 void Watchdog::check() const {
-  if (armed_ && std::chrono::steady_clock::now() >= deadline_) throw TimeoutError(what_);
+  if (timeout_s_ > 0.0 && std::chrono::steady_clock::now() >= deadline_) {
+    throw TimeoutError("simulation exceeded watchdog deadline of " +
+                       std::to_string(timeout_s_) + " s (" + what_ + ")");
+  }
 }
 
 FrontEnd::FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces,
@@ -86,16 +88,13 @@ FrontEnd::FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces,
       n_(static_cast<std::uint32_t>(traces.size())),
       capacity_(std::clamp<std::uint64_t>(std::bit_floor(kRingRecords / n_), 64, 4096)),
       block_cap_(std::min<std::uint64_t>(1024, capacity_ / 2)),
-      storage_(std::make_unique_for_overwrite<OpRecord[]>(n_ * capacity_)),
       lanes_(std::make_unique<Lane[]>(n_)),
       mode_(g_mode.load(std::memory_order_relaxed)),
       wanted_(n_) {
   for (std::uint32_t c = 0; c < n_; ++c) {
     Lane& l = lanes_[c];
-    l.ring = storage_.get() + c * capacity_;
-    l.mask = capacity_ - 1;
     l.core = c;
-    l.block = std::min<std::uint64_t>(l.block, block_cap_);
+    l.block = std::min<std::uint64_t>(l.block, block_cap_);  // ring: at first refill
     if (faults_ != nullptr) l.fault_context = "front end, core " + std::to_string(c);
   }
   g_busy.fetch_add(1, std::memory_order_relaxed);  // this run's replay thread
@@ -111,7 +110,10 @@ void FrontEnd::refill(Lane& l) {
   l.consumed.store(l.head, std::memory_order_release);
   if (!worker_running_ && l.tail.load(std::memory_order_relaxed) == l.head) {
     maybe_start_worker();
-    if (!worker_running_) (void)produce(l);  // the ring is empty: a whole block fits
+    if (!worker_running_) {
+      if (l.ring == nullptr || l.block > l.mask + 1) resize_ring(l, l.block);
+      (void)produce(l);  // the ring is empty and holds a whole block
+    }
   }
   for (std::uint32_t spins = 0;; ++spins) {
     const std::uint64_t tail = l.tail.load(std::memory_order_acquire);
@@ -136,10 +138,18 @@ void FrontEnd::refill(Lane& l) {
   wanted_.store(n_, std::memory_order_relaxed);
 }
 
+void FrontEnd::resize_ring(Lane& l, std::uint64_t records) {
+  auto ring = std::make_unique_for_overwrite<OpRecord[]>(records);
+  for (std::uint64_t p = l.head; p < l.produced; ++p)
+    ring[p & (records - 1)] = l.ring[p & l.mask];
+  l.ring = std::move(ring);
+  l.mask = records - 1;
+}
+
 bool FrontEnd::produce(Lane& l) {
   if (l.failed.load(std::memory_order_relaxed)) return false;
   const std::uint64_t buffered = l.produced - l.consumed.load(std::memory_order_acquire);
-  if (capacity_ - buffered < l.block) return false;
+  if (l.mask + 1 - buffered < l.block) return false;
   TraceSource& src = *traces_[l.core];
   cache::PrivateLruCache& l1 = hierarchy_.l1d_mut(l.core);
   const std::uint64_t end = l.produced + l.block;
@@ -183,6 +193,8 @@ void FrontEnd::maybe_start_worker() {
     case FrontEndMode::kWorker:
       break;
   }
+  // The worker runs ahead: give every lane its full share of the ring budget.
+  for (std::uint32_t c = 0; c < n_; ++c) resize_ring(lanes_[c], capacity_);
   try {
     worker_ = std::thread([this] { worker_loop(); });
   } catch (const std::system_error&) {
@@ -210,7 +222,7 @@ void FrontEnd::worker_loop() noexcept {
         if (l.failed.load(std::memory_order_relaxed)) continue;
         const std::uint64_t buffered =
             l.produced - l.consumed.load(std::memory_order_relaxed);
-        if (buffered < best_buffered && capacity_ - buffered >= l.block) {
+        if (buffered < best_buffered && l.mask + 1 - buffered >= l.block) {
           best = &l;
           best_buffered = buffered;
         }

@@ -12,9 +12,11 @@
 // kWorkerAfterOps ops, and the process has a spare usable CPU (running
 // replays plus front-end workers fewer than the CPUs sched_getaffinity
 // grants). Then one worker thread per run takes over all of the run's cores.
-// Blocks grow from 16 records to a 1 Ki cap and ring storage is allocated
-// uninitialised, so short runs pay for neither a thread nor much speculative
-// work.
+// Blocks grow from 1 record to a 1 Ki cap. Inline, a core's ring only ever
+// holds one block, so it is sized to the block; it grows to its full share of
+// the run's ring budget when the worker starts. Ring storage is allocated
+// uninitialised. Short runs thus pay for neither a thread nor much
+// speculative work or memory.
 //
 // Errors keep their op: an exception thrown while producing a core's k-th
 // record (a trace-read failure, an injected `worker` fault) is stored with
@@ -61,14 +63,15 @@ void set_front_end_mode(FrontEndMode mode) noexcept;
 /// decides whether a run dies, never what it computes.
 class Watchdog {
  public:
-  Watchdog(double timeout_s, std::string what);
+  /// `what` names the run in the error message; it must outlive the watchdog.
+  Watchdog(double timeout_s, const char* what);
   /// Throws TimeoutError once the deadline has passed.
   void check() const;
 
  private:
-  bool armed_;
+  double timeout_s_;
   std::chrono::steady_clock::time_point deadline_;
-  std::string what_;
+  const char* what_;
 };
 
 class FrontEnd {
@@ -96,12 +99,14 @@ class FrontEnd {
 
  private:
   struct alignas(64) Lane {
-    // Replay thread.
-    std::uint64_t head = 0;   ///< records consumed
-    std::uint64_t limit = 0;  ///< records known to be ready
-    OpRecord* ring = nullptr;
-    std::uint64_t mask = 0;
+    // Read by both threads, fixed while a worker runs (the replay thread
+    // resizes the ring only before one starts).
+    std::unique_ptr<OpRecord[]> ring;
+    std::uint64_t mask = 0;  ///< ring records - 1 (a power of two)
     std::uint32_t core = 0;
+    // Replay thread; written every op, so on a line of its own.
+    alignas(64) std::uint64_t head = 0;  ///< records consumed
+    std::uint64_t limit = 0;             ///< records known to be ready
     // Shared: producer publishes `tail` (and `failed` after `error`), the
     // replay thread publishes `consumed`.
     alignas(64) std::atomic<std::uint64_t> tail{0};
@@ -110,11 +115,14 @@ class FrontEnd {
     std::exception_ptr error;
     // Producer (the replay thread inline, then the worker).
     alignas(64) std::uint64_t produced = 0;
-    std::uint64_t block = 16;
+    std::uint64_t block = 1;
     std::string fault_context;
   };
 
   void refill(Lane& l);
+  /// Reallocate `l`'s ring to `records` slots, keeping the unconsumed
+  /// records. Replay thread only, while no worker runs.
+  static void resize_ring(Lane& l, std::uint64_t records);
   /// Produce up to one block into `l`; false if the ring had no room.
   bool produce(Lane& l);
   void maybe_start_worker();
@@ -125,9 +133,8 @@ class FrontEnd {
   const FaultPlan* faults_;
   const Watchdog& watchdog_;
   std::uint32_t n_;
-  std::uint64_t capacity_;   ///< ring records per core (power of two)
+  std::uint64_t capacity_;   ///< ring records per core once a worker runs (power of two)
   std::uint64_t block_cap_;  ///< largest block
-  std::unique_ptr<OpRecord[]> storage_;
   std::unique_ptr<Lane[]> lanes_;
   FrontEndMode mode_;
   bool worker_running_ = false;
