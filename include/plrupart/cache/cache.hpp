@@ -35,13 +35,12 @@
 
 #include "plrupart/export.hpp"
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "plrupart/cache/cache_stats.hpp"
-#include "plrupart/cache/dispatch.hpp"
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/replacement.hpp"
 
@@ -73,28 +72,6 @@ class PLRUPART_EXPORT SetAssocCache {
   /// Perform one access for `core` at byte address `addr`. Misses allocate.
   AccessOutcome access(CoreId core, Addr addr, bool write = false);
 
-  /// One element of a batched replay (see access_batch).
-  struct BatchOp {
-    Addr addr = 0;
-    CoreId core = 0;
-    bool write = false;
-  };
-
-  /// Replay `n` accesses in order, writing one AccessOutcome per op into
-  /// `out`. Semantically identical to calling access() n times — same state,
-  /// same statistics, same outcomes — but the driver prefetches the set
-  /// metadata of a small window of upcoming ops, overlapping the dependent
-  /// set-lookup chains that serialize the one-at-a-time path. Callers with
-  /// naturally batched independent accesses (trace replay between interval
-  /// boundaries, the micro benches) get the dependency-hiding for free; the
-  /// simulator's replay loop keeps per-op access() because its argmin
-  /// interleave makes each op's issue depend on the previous op's outcome.
-  void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out);
-  /// Batched replay whose per-core counters land in `stats` instead of the
-  /// cache's own bundle.
-  void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                    CacheStatsBundle& stats);
-
   /// Non-mutating lookup: would this access hit, and in which way?
   [[nodiscard]] AccessOutcome probe(Addr addr) const;
 
@@ -116,9 +93,6 @@ class PLRUPART_EXPORT SetAssocCache {
 
   // --- Introspection ------------------------------------------------------
   [[nodiscard]] const Geometry& geometry() const noexcept { return geo_; }
-  /// The SIMD dispatch tier this instance's access path runs on (sampled from
-  /// active_dispatch_tier() at construction; see plrupart/cache/dispatch.hpp).
-  [[nodiscard]] DispatchTier dispatch_tier() const noexcept { return dispatch_; }
   [[nodiscard]] EnforcementMode enforcement() const noexcept { return enforcement_; }
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
   [[nodiscard]] ReplacementKind replacement() const noexcept { return kind_; }
@@ -169,60 +143,11 @@ class PLRUPART_EXPORT SetAssocCache {
   }
 
   /// The statically-dispatched access core; `Policy` is the concrete (final)
-  /// replacement class, so every policy hook inlines, `E` is the enforcement
-  /// mode, so the unpartitioned path carries no enforcement branches and the
-  /// mask/quota paths fold their scope selection, and `D` is the SIMD
-  /// dispatch tier, selecting the tag-scan kernels (find_way_dispatch and the
-  /// SRRIP distant-line scan). Every (E, D, Policy) combination computes the
-  /// same function — D only changes how many lanes one instruction compares.
-  template <EnforcementMode E, DispatchTier D, class Policy>
-  AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
-
-  /// Batched counterpart of access_impl: per-op serial semantics plus a
-  /// prefetch window over upcoming ops' set metadata.
-  template <EnforcementMode E, DispatchTier D, class Policy>
-  void access_batch_impl(Policy& pol, const BatchOp* ops, std::size_t n,
-                         AccessOutcome* out, CacheStatsBundle& stats);
-
-  /// find_way with the tag-filter scan of tier `D` (kSwar delegates to
-  /// find_way above; the AVX tiers compare all partial bytes in 1-2 ops).
-  /// Defined in access_impl.ipp; AVX instantiations exist only in the
-  /// src/cache/simd/access_*.cpp TUs compiled with the matching -m flags.
-  template <DispatchTier D>
-  [[nodiscard]] std::uint32_t find_way_dispatch(std::uint64_t set,
-                                                std::uint64_t tag) const;
-
-  /// Tier-pinned full access / batch drivers: the policy x enforcement
-  /// dispatch around access_impl, templated so each tier's TU instantiates
-  /// exactly its own matrix (one tier per TU — see access_impl.ipp for why
-  /// that isolation matters to codegen). Defined in access_impl.ipp.
-  template <DispatchTier D>
-  AccessOutcome access_host(CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
-  template <DispatchTier D>
-  void access_batch_host(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                         CacheStatsBundle& stats);
-
-  // Entry point into the kScalar reference TU (src/cache/access_scalar.cpp).
-  // The byte-loop tier is for bit-identity proofs, not throughput; keeping
-  // its instantiation out of the hot TUs preserves their inlining budget.
-  AccessOutcome access_scalar(CoreId core, Addr addr, bool write,
-                              CacheStatsBundle& stats);
-  void access_batch_scalar(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                           CacheStatsBundle& stats);
-
-  // Entry points into the AVX translation units (src/cache/simd/access_*.cpp,
-  // compiled with the matching target flags). Only called when the active
-  // tier says so, which implies the build carries them.
-  AccessOutcome access_avx2(CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
-  AccessOutcome access_avx512(CoreId core, Addr addr, bool write,
-                              CacheStatsBundle& stats);
-  void access_batch_avx2(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                         CacheStatsBundle& stats);
-  void access_batch_avx512(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                           CacheStatsBundle& stats);
+  /// replacement class, so every policy hook inlines, and `E` is the
+  /// enforcement mode, so the unpartitioned path carries no enforcement
+  /// branches and the mask/quota paths fold their scope selection.
+  template <EnforcementMode E, class Policy>
+  AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write);
 
   /// The ways `core` may search for a victim in `set` under kOwnerCounters
   /// enforcement (always non-empty). kNone/kWayMasks scopes come straight
@@ -257,7 +182,6 @@ class PLRUPART_EXPORT SetAssocCache {
   Geometry geo_;
   std::uint32_t num_cores_;
   EnforcementMode enforcement_;
-  DispatchTier dispatch_;
   ReplacementKind kind_;
   std::unique_ptr<ReplacementPolicy> policy_;
 
@@ -276,9 +200,6 @@ class PLRUPART_EXPORT SetAssocCache {
   ///   [1 + c]                  ways owned by core c (partitions the valid mask)
   ///   [partial_off_ + j]       packed 1-byte partial tags (byte w%8 of word
   ///                            w/8 holds way w's low tag byte) — find_way's filter
-  /// Both tags_ and set_meta_ are over-allocated by 64 bytes: the AVX tiers'
-  /// kernels load whole 32/64-byte blocks past the scanned range and mask the
-  /// overhang away (the padded-buffer contract of src/cache/simd).
   std::vector<WayMask> set_meta_;
   std::uint32_t meta_stride_ = 0;   ///< (1 + num_cores) + ceil(A / 8)
   std::uint32_t partial_off_ = 0;   ///< 1 + num_cores

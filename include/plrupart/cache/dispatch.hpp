@@ -1,79 +1,26 @@
-// SIMD dispatch tiers for the batched tag-filtering hot paths.
+// The tag-scan path the caches run, for run manifests.
 //
-// The per-access cost of the L2/ATD lookup is dominated by equality scans over
-// small arrays: the packed 1-byte partial-tag filter of SetAssocCache, the
-// full-tag compare of the sampled ATD, and the SRRIP distant-line scan. All
-// three are the exact shape x86 `vpcmpeqb`/`vpcmpeqq` + movemask batching
-// wants: 32-64 lanes compared per instruction instead of 4-8 per SWAR word.
-//
-// The library ships the kernels in four tiers:
-//
-//   kScalar  — plain per-way loops. The reference semantics every other tier
-//              must reproduce bit-for-bit; also the portable floor.
-//   kSwar    — SWAR over uint64_t words (the PR 3 hot path). Always available.
-//   kAvx2    — 256-bit vpcmpeqb/vpcmpeqq + movemask. Requires the build to
-//              enable PLRUPART_SIMD (on by default on x86-64 GCC/Clang) and
-//              the CPU to report AVX2.
-//   kAvx512  — 512-bit compares producing k-masks directly. Requires
-//              PLRUPART_SIMD and AVX-512BW.
-//
-// Selection is runtime (cpuid), once per process: `best_dispatch_tier()` is
-// the preferred available tier (AVX2 when it can run — see the function) and
-// seeds `active_dispatch_tier()`, which every cache/ATD/policy instance
-// samples at construction. The environment variable
-// `PLRUPART_FORCE_DISPATCH=scalar|swar|avx2|avx512` overrides the choice
-// process-wide (it is how CI pins each path deterministically); forcing a
-// tier the build or CPU cannot run fails loudly instead of silently degrading.
-//
-// Bit-identity contract: every tier computes the same function — the caches'
-// replacement decisions, statistics, and CSV output are byte-identical across
-// tiers (proven by the GoldenEquivalence replay suite and the forced-dispatch
-// CI leg), so the tier is purely a throughput knob.
+// Every L2/ATD/SRRIP equality scan in the library runs one portable path:
+// SWAR over uint64_t words (SetAssocCache's packed 1-byte partial-tag filter)
+// and the unrolled compare loop of tag_match_mask (Atd full tags, SRRIP
+// RRPVs). There is no runtime selection; this header only names that path so
+// tools can stamp it into what they report.
 #pragma once
 
-#include "plrupart/export.hpp"
-
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace plrupart::cache {
 
 enum class DispatchTier : std::uint8_t {
-  kScalar = 0,
-  kSwar = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kSwar,
 };
 
-[[nodiscard]] PLRUPART_EXPORT std::string to_string(DispatchTier t);
+[[nodiscard]] inline std::string to_string(DispatchTier /*t*/) { return "swar"; }
 
-/// Parse "scalar" / "swar" / "avx2" / "avx512" (the PLRUPART_FORCE_DISPATCH
-/// spellings); nullopt for anything else.
-[[nodiscard]] PLRUPART_EXPORT std::optional<DispatchTier> parse_dispatch_tier(
-    std::string_view name);
-
-/// True iff this build carries the tier's kernels AND the running CPU can
-/// execute them. kScalar and kSwar are always available.
-[[nodiscard]] PLRUPART_EXPORT bool dispatch_tier_available(DispatchTier t) noexcept;
-
-/// Preferred available tier on this machine (>= kSwar). Prefers kAvx2 over
-/// kAvx512 when both can run: the kernels are byte-compare + movemask over
-/// at-most-64-byte blocks, where 512-bit lanes save no memory trips while the
-/// k-mask extraction and downclock risk cost a little on most parts (measured
-/// equal-or-slower across the BM_CacheAccessDispatch matrix). kAvx512 stays a
-/// first-class tier via PLRUPART_FORCE_DISPATCH / set_active_dispatch_tier.
-[[nodiscard]] PLRUPART_EXPORT DispatchTier best_dispatch_tier() noexcept;
-
-/// The tier new cache/ATD/policy instances adopt. Defaults to
-/// best_dispatch_tier(); PLRUPART_FORCE_DISPATCH (checked once, on first use)
-/// overrides it, and set_active_dispatch_tier() overrides both. Throws
-/// InvariantError if the forced tier is not available.
-[[nodiscard]] PLRUPART_EXPORT DispatchTier active_dispatch_tier();
-
-/// Force the process-wide tier (tests, benchmarks). Throws InvariantError when
-/// the tier is unavailable. Only instances constructed afterwards see it.
-PLRUPART_EXPORT void set_active_dispatch_tier(DispatchTier t);
+/// The tag-scan path of this build: always kSwar.
+[[nodiscard]] inline DispatchTier active_dispatch_tier() noexcept {
+  return DispatchTier::kSwar;
+}
 
 }  // namespace plrupart::cache

@@ -95,8 +95,7 @@ inline constexpr std::uint32_t kMaxAssociativity = 64;
 /// SRRIP distant-line scan): chunks of four fixed-offset compares keep the
 /// loop branch-light and give the compiler independent compare chains (and
 /// vectorizable code under -march flags) instead of a serial variable-shift
-/// reduction. The SIMD dispatch tiers (src/cache/simd) reimplement exactly
-/// this function with vector compares; test_simd_dispatch pins them to it.
+/// reduction. It reads exactly values[0..ways), never past the end.
 ///
 /// Shift/width contract: `ways` must not exceed kMaxAssociativity (asserted —
 /// in every build type). Within that bound every shift is by at most

@@ -37,12 +37,12 @@ struct PLRUPART_EXPORT RunSpec {
   /// Per-job deterministic seed (feeds trace generation and the L2's RNG).
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
-  /// Deprecated and ignored (SimConfig::sim_threads): set-sharded replay was
-  /// removed. Never part of the job's identity (key() ignores it).
+  /// Ignored by execute() and never part of the job's identity. It remains
+  /// only because the benchmark's probe (perfbench/probe.cpp) still sets it.
   std::uint32_t sim_threads = 1;
-  /// Timing mode (SimConfig::timing_mode). Unlike sim_threads this IS part of
-  /// the job's identity — timed results carry extra columns and different
-  /// cycle counts — so jobs_fingerprint folds it in (timed jobs only, keeping
+  /// Timing mode (SimConfig::timing_mode). This IS part of the job's identity
+  /// — timed results carry extra columns and different cycle counts — so
+  /// jobs_fingerprint folds it in (timed jobs only, keeping
   /// every pre-timed functional journal fingerprint unchanged).
   sim::TimingMode timing = sim::TimingMode::kFunctional;
 
@@ -56,10 +56,9 @@ struct PLRUPART_EXPORT RunSpec {
 /// end gets a thread of its own.
 [[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
 
-/// Supervision knobs threaded into a single job's execution. Like
-/// RunSpec::sim_threads these are NOT part of the job's identity: they decide
-/// whether a run survives, never what it computes, so key()/fingerprints
-/// ignore them.
+/// Supervision knobs threaded into a single job's execution. These are NOT
+/// part of the job's identity: they decide whether a run survives, never what
+/// it computes, so key()/fingerprints ignore them.
 struct PLRUPART_EXPORT ExecuteControls {
   double timeout_s = 0.0;  ///< watchdog deadline (0 = none); see SimConfig
   /// Fault plan armed on this job's trace readers (FaultSite::kRead, lane =
@@ -72,8 +71,8 @@ struct PLRUPART_EXPORT ExecuteControls {
                                                      const ExecuteControls& controls);
 
 /// Content fingerprint of a job list: folds every identity field of every
-/// job (position, config, workload, geometries, quotas, seed — but NOT
-/// sim_threads, which is a performance knob) into one stable 64-bit value.
+/// job (position, config, workload, geometries, quotas, seed, and the
+/// timing mode of timed jobs) into one stable 64-bit value.
 /// The journal stamps this into every record so --resume can prove the
 /// on-disk state belongs to THIS matrix and not a stale or edited one.
 [[nodiscard]] PLRUPART_EXPORT std::uint64_t jobs_fingerprint(const std::vector<RunSpec>& jobs);
@@ -93,7 +92,6 @@ struct PLRUPART_EXPORT RunMatrix {
   std::uint64_t interval_cycles = 1'000'000;
   std::uint32_t sampling_ratio = 32;
   std::uint64_t seed = 1;  ///< root seed; per-job seeds derive from it
-  std::uint32_t sim_threads = 1;  ///< deprecated, ignored (see RunSpec)
   sim::TimingMode timing = sim::TimingMode::kFunctional;  ///< all jobs' timing mode
 
   /// Number of jobs in the full matrix.

@@ -29,9 +29,9 @@ struct PLRUPART_EXPORT SimConfig {
   HierarchyConfig hierarchy;
   std::vector<CoreParams> cores;          ///< one per core (benchmark-specific)
   std::uint64_t instr_limit = 2'000'000;  ///< per-thread MEASURED instructions
-  /// Deprecated and ignored: set-sharded replay was removed. Still accepted
-  /// so existing callers compile; the per-core front end decides on its own
-  /// whether a run uses a second thread (see src/sim/front_end.hpp).
+  /// Ignored: the per-core front end decides on its own whether a run uses a
+  /// second thread (see src/sim/front_end.hpp). It remains only because the
+  /// benchmark's probe (perfbench/probe.cpp) still sets it.
   std::uint32_t sim_threads = 1;
   /// Warmup: measurement windows open for ALL cores at the same wall-cycle
   /// instant — the moment the slowest core has committed this many

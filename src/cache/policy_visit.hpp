@@ -14,10 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
-#include "cache/simd/simd_kernels.hpp"
-#include "plrupart/cache/dispatch.hpp"
 #include "plrupart/cache/lru.hpp"
 #include "plrupart/cache/nru.hpp"
 #include "plrupart/cache/random_repl.hpp"
@@ -26,43 +23,6 @@
 #include "plrupart/cache/tree_plru.hpp"
 
 namespace plrupart::cache {
-
-/// Victim selection pinned to SIMD dispatch tier `D`: policies whose victim
-/// scan has a vector kernel (SRRIP's distant-line byte scan) route it through
-/// the tier's kernel via Srrip::choose_victim_scan; everything else — and the
-/// portable kSwar tier — takes the policy's plain choose_victim, unchanged.
-/// Bit-identical across tiers: the scan kernels compute the same match mask,
-/// so the same victim is picked (asserted by the GoldenEquivalence matrix).
-/// The kAvx* branches hold intrinsics and may only be instantiated from TUs
-/// compiled with the matching target flags (src/cache/simd/access_*.cpp).
-template <DispatchTier D, class Policy>
-std::uint32_t choose_victim_dispatch(Policy& pol, std::uint64_t set, WayMask allowed) {
-  if constexpr (std::is_same_v<Policy, Srrip>) {
-    if constexpr (D == DispatchTier::kScalar) {
-      return pol.choose_victim_scan(
-          set, allowed, [](const std::uint8_t* v, std::uint32_t n, std::uint8_t needle) {
-            return simd::match_scalar(v, n, needle);
-          });
-    }
-#if defined(__AVX2__)
-    if constexpr (D == DispatchTier::kAvx2) {
-      return pol.choose_victim_scan(
-          set, allowed, [](const std::uint8_t* v, std::uint32_t n, std::uint8_t needle) {
-            return simd::byte_match_avx2_impl(v, n, needle);
-          });
-    }
-#endif
-#if defined(__AVX512BW__)
-    if constexpr (D == DispatchTier::kAvx512) {
-      return pol.choose_victim_scan(
-          set, allowed, [](const std::uint8_t* v, std::uint32_t n, std::uint8_t needle) {
-            return simd::byte_match_avx512_impl(v, n, needle);
-          });
-    }
-#endif
-  }
-  return pol.choose_victim(set, allowed);
-}
 
 /// Invoke `fn` with `policy` downcast to its concrete type. `kind` must match
 /// the policy's actual kind — callers assert that once at construction, not

@@ -31,7 +31,6 @@ sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
   cfg.hierarchy.l2.seed = spec.seed;
   cfg.instr_limit = spec.instr;
   cfg.warmup_instr = spec.warmup;
-  cfg.sim_threads = spec.sim_threads;
   cfg.timing_mode = spec.timing;
   cfg.timeout_s = controls.timeout_s;
   cfg.faults = controls.faults;
@@ -121,7 +120,6 @@ std::vector<RunSpec> RunMatrix::expand() const {
         s.interval_cycles = interval_cycles;
         s.sampling_ratio = sampling_ratio;
         s.seed = row_seed;
-        s.sim_threads = sim_threads;
         s.timing = timing;
         PLRUPART_ASSERT(s.job_index == jobs.size());
         jobs.push_back(std::move(s));

@@ -30,7 +30,6 @@
 // Scale-out flags:
 //   --threads N        worker threads; 0 = one per hardware thread  [0]
 //   --shard i/n        run slice i of an n-way split of the matrix
-//   --sim-threads K    deprecated, ignored (warns); set-sharded replay is gone
 //   --progress         per-job completion lines on stderr
 //
 // Timing flags:
@@ -114,7 +113,6 @@ void print_usage() {
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
       "scale-out:   --threads N [0 = all hardware threads]  --shard i/n  --progress\n"
-      "             --sim-threads K  deprecated, ignored\n"
       "timing:      --timing MODE [functional]  functional | timed; timed runs the\n"
       "                             event-driven MSHR/banked-DRAM overlay (same\n"
       "                             partition decisions, extra CSV columns)\n"
@@ -205,15 +203,6 @@ runner::RunMatrix parse_matrix(const Cli& cli) {
   m.sampling_ratio =
       static_cast<std::uint32_t>(get_count(cli, "--sampling", 32, 1, kU32Max));
   m.seed = get_count(cli, "--seed", 1, 0);
-  // Parsed so old command lines keep working, but set-sharded replay is gone;
-  // every run's front end takes a spare CPU on its own when there is one.
-  m.sim_threads = static_cast<std::uint32_t>(
-      get_count(cli, "--sim-threads", 1, 0, kU32Max));
-  if (cli.has("--sim-threads")) {
-    std::fprintf(stderr,
-                 "plrupart: warning: --sim-threads is deprecated and ignored "
-                 "(set-sharded replay was removed)\n");
-  }
   m.timing = sim::timing_mode_from_string(cli.get_string("--timing", "functional"));
   return m;
 }
@@ -388,7 +377,7 @@ bool check_args(int argc, char** argv) {
       "--workload", "--benchmarks", "--config",   "--configs",  "--instr",
       "--warmup",   "--l2-kb",      "--l2-kb-sweep", "--assoc", "--line",
       "--interval", "--sampling",   "--seed",     "--csv",      "--threads",
-      "--shard",    "--merge-csv",  "--trace",    "--sim-threads", "--timing",
+      "--shard",    "--merge-csv",  "--trace",    "--timing",
       "--journal",  "--job-retries", "--retry-backoff-ms", "--job-timeout",
       "--fault-inject"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",

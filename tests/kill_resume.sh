@@ -95,7 +95,7 @@ for spec in read:0.05 write:0.5 read:0.02,write:0.3; do
   cmp -s base_quick.csv "$out" || die "fault run '$spec' changed the CSV"
 done
 
-"$CLI" "${QUICK[@]}" --sim-threads 2 --fault-inject worker:0.0000005 --job-retries 12 \
+"$CLI" "${QUICK[@]}" --fault-inject worker:0.0000005 --job-retries 12 \
     --retry-backoff-ms 0 --csv worker_fault.csv || die "worker-fault run did not recover"
 cmp -s base_quick.csv worker_fault.csv || die "worker-fault run changed the CSV"
 
