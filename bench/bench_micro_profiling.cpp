@@ -26,13 +26,13 @@ void BM_ProfilerRecordAccess(benchmark::State& state) {
   std::unique_ptr<Profiler> prof;
   switch (state.range(0)) {
     case 0:
-      prof = std::make_unique<LruProfiler>(geo, 32);
+      prof = std::make_unique<Profiler>(geo, cache::ReplacementKind::kLru, 32);
       break;
     case 1:
       prof = std::make_unique<NruProfiler>(geo, 32, 0.75);
       break;
     default:
-      prof = std::make_unique<BtProfiler>(geo, 32);
+      prof = std::make_unique<Profiler>(geo, cache::ReplacementKind::kTreePlru, 32);
       break;
   }
   Rng rng(2);

@@ -1,9 +1,9 @@
 // The tag-scan path the caches run, for run manifests.
 //
 // Every L2/ATD/SRRIP equality scan in the library runs one portable path:
-// SWAR over uint64_t words (SetAssocCache's packed 1-byte partial-tag filter)
-// and the unrolled compare loop of tag_match_mask (Atd full tags, SRRIP
-// RRPVs). There is no runtime selection; this header only names that path so
+// SWAR over uint64_t words (SetAssocCache's packed 1-byte partial-tag filter,
+// which the ATDs share as one-core SetAssocCaches) and the unrolled compare
+// loop of tag_match_mask (SRRIP RRPVs). There is no runtime selection; this header only names that path so
 // tools can stamp it into what they report.
 #pragma once
 

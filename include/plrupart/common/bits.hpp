@@ -90,9 +90,9 @@ inline constexpr std::uint32_t kMaxAssociativity = 64;
   return static_cast<std::uint32_t>(std::countr_zero(m));
 }
 
-/// Bitmask of the ways in values[0..ways) equal to `needle`. The shared
-/// per-way equality scan of the lookup and victim paths (ATD tag compare,
-/// SRRIP distant-line scan): chunks of four fixed-offset compares keep the
+/// Bitmask of the ways in values[0..ways) equal to `needle`. SRRIP's
+/// distant-line victim scan (tag lookups go through SetAssocCache::find_way
+/// instead): chunks of four fixed-offset compares keep the
 /// loop branch-light and give the compiler independent compare chains (and
 /// vectorizable code under -march flags) instead of a serial variable-shift
 /// reduction. It reads exactly values[0..ways), never past the end.

@@ -5,23 +5,18 @@
 // alone. Set sampling (paper: 1 in 32) keeps the area at ~3.25KB per core for
 // the baseline L2: an L2 access probes the ATD only when its set is sampled.
 //
-// The ATD runs its own instance of the cache's replacement policy; the
-// pre-update StackEstimate it reports is exactly what the three profilers
-// (LRU/NRU/BT) consume.
-//
-// Like SetAssocCache, the probe path uses a structure-of-arrays layout
-// (contiguous per-set tags + a valid bitmask) and static policy dispatch, so
-// a sampled access costs a vectorizable tag scan plus an inlined policy
-// update rather than an entry-struct walk and 2-3 virtual calls.
+// The tag store is a one-core, unpartitioned cache::SetAssocCache running the
+// L2's replacement policy, so the ATD shares the L2's tag scan, fill order and
+// policy dispatch. This class only samples, maps a sampled L2 line onto that
+// smaller cache, and reads the pre-update StackEstimate the profilers consume.
 #pragma once
 
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
+#include "plrupart/cache/cache.hpp"
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/replacement.hpp"
 
@@ -58,43 +53,16 @@ class PLRUPART_EXPORT Atd {
 
   [[nodiscard]] std::uint32_t sampling_ratio() const noexcept { return sampling_ratio_; }
   [[nodiscard]] std::uint32_t associativity() const noexcept {
-    return atd_geo_.associativity;
+    return tags_.geometry().associativity;
   }
-  [[nodiscard]] std::uint64_t sets() const noexcept { return atd_geo_.sets(); }
-  [[nodiscard]] const cache::ReplacementPolicy& policy() const noexcept { return *policy_; }
-
-  /// Storage cost of this ATD in bits: per entry one tag + valid bit + the
-  /// replacement metadata share (see power/complexity.hpp for the formulas).
-  [[nodiscard]] std::uint64_t storage_bits(std::uint32_t tag_bits) const;
-
-  void reset();
+  [[nodiscard]] std::uint64_t sets() const noexcept { return tags_.geometry().sets(); }
+  [[nodiscard]] const cache::ReplacementPolicy& policy() const noexcept {
+    return tags_.policy();
+  }
 
  private:
-  static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
-
-  /// Shared tag scan of the probe path: tag_match_mask over the set's full
-  /// tag words, masked by the valid bits; the lowest matching way or kNoWay.
-  [[nodiscard]] std::uint32_t find_way(std::uint64_t set, std::uint64_t tag) const;
-
-  template <class Policy>
-  AtdObservation access_impl(Policy& pol, std::uint64_t set, std::uint64_t tag);
-
-  cache::Geometry l2_geo_;
-  cache::Geometry atd_geo_;
   std::uint32_t sampling_ratio_;
-  cache::ReplacementKind kind_;
-  std::unique_ptr<cache::ReplacementPolicy> policy_;
-
-  // Precomputed address decomposition (all powers of two).
-  std::uint32_t ways_ = 0;
-  std::uint32_t sample_shift_ = 0;  ///< log2(sampling_ratio)
-  std::uint32_t l2_tag_shift_ = 0;  ///< log2(L2 sets)
-  std::uint64_t l2_set_mask_ = 0;
-  WayMask all_ways_ = 0;
-
-  // SoA entry state.
-  std::vector<std::uint64_t> tags_;  ///< [set * A + way]
-  std::vector<WayMask> valid_;       ///< per-set valid bitmask
+  cache::SetAssocCache tags_;
 };
 
 }  // namespace plrupart::core

@@ -51,7 +51,6 @@ struct PLRUPART_EXPORT CpaConfig {
   /// kNone disables partitioning entirely (no ATDs, no controller).
   cache::EnforcementMode enforcement = cache::EnforcementMode::kWayMasks;
 
-  ProfilerKind profiler = ProfilerKind::kAuto;
   double esdh_scale = 1.0;                       // NRU profiling only
   NruUpdateMode nru_update = NruUpdateMode::kRange;
   PolicyKind policy = PolicyKind::kMinMissesOptimal;
@@ -102,12 +101,6 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
     return controller_.get();
   }
   [[nodiscard]] Partition current_partition() const;
-
-  /// Hardware-cost summary of the configuration (storage bits; see
-  /// power/complexity.hpp for the event costs).
-  [[nodiscard]] std::uint64_t profiling_storage_bits(std::uint32_t tag_bits) const;
-
-  void reset();
 
  private:
   void apply_partition(const Partition& p);

@@ -2,11 +2,16 @@
 //
 // One Profiler instance exists per core. On every L2 access by that core the
 // simulator calls record_access(); if the set is sampled the ATD reports a hit
-// estimate or a miss, and the policy-specific subclass updates the SDH:
+// estimate or a miss and the SDH is updated. The ATD runs the L2's own
+// replacement policy, whose estimate_position does the policy-specific work:
 //
-//   LruProfiler — exact stack distances (the classical scheme of [22]).
-//   NruProfiler — the paper's §III-A eSDH with scaling factor S.
-//   BtProfiler  — the paper's §III-B eSDH from ID/XOR/SUB on the tree bits.
+//   SDH-LRU    — exact stack distances (the classical scheme of [22]).
+//   eSDH-BT    — the paper's §III-B ID/XOR/SUB estimate on the tree bits.
+//   eSDH-SRRIP — RRPV-quartile estimate (extension).
+//
+// Profiler records StackEstimate::point for those three. NruProfiler is the
+// one estimator that reads the [lo, hi] interval instead: the paper's §III-A
+// eSDH with scaling factor S.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -24,7 +29,7 @@ namespace plrupart::core {
 class PLRUPART_EXPORT Profiler {
  public:
   Profiler(const cache::Geometry& l2_geometry, cache::ReplacementKind atd_replacement,
-           std::uint32_t sampling_ratio, std::uint64_t seed)
+           std::uint32_t sampling_ratio, std::uint64_t seed = 0x5eed)
       : atd_(l2_geometry, atd_replacement, sampling_ratio, seed),
         sdh_(l2_geometry.associativity) {}
   virtual ~Profiler() = default;
@@ -55,34 +60,15 @@ class PLRUPART_EXPORT Profiler {
 
   [[nodiscard]] const Sdh& sdh() const noexcept { return sdh_; }
   [[nodiscard]] const Atd& atd() const noexcept { return atd_; }
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  virtual void reset() {
-    atd_.reset();
-    sdh_.clear();
-  }
+  /// "SDH-LRU" for the exact LRU profile, "eSDH-<policy>" for an estimate.
+  [[nodiscard]] virtual std::string name() const;
 
  protected:
-  /// Policy-specific SDH update for a sampled ATD hit.
-  virtual void on_atd_hit(const cache::StackEstimate& est) = 0;
+  /// SDH update for a sampled ATD hit: record the point estimate.
+  virtual void on_atd_hit(const cache::StackEstimate& est) { sdh_.record_hit(est.point); }
 
   Atd atd_;
   Sdh sdh_;
-};
-
-/// Exact profiling on a true-LRU ATD: record the precise stack distance.
-class PLRUPART_EXPORT LruProfiler final : public Profiler {
- public:
-  LruProfiler(const cache::Geometry& geo, std::uint32_t sampling_ratio,
-              std::uint64_t seed = 0x5eed)
-      : Profiler(geo, cache::ReplacementKind::kLru, sampling_ratio, seed) {}
-
-  [[nodiscard]] std::string name() const override { return "SDH-LRU"; }
-
- private:
-  void on_atd_hit(const cache::StackEstimate& est) override {
-    sdh_.record_hit(est.point);
-  }
 };
 
 /// How the NRU eSDH turns the [1, U] estimate interval into register updates.
@@ -117,7 +103,6 @@ class PLRUPART_EXPORT NruProfiler final : public Profiler {
     return mode_ == NruUpdateMode::kSmear ? smear_curve() : Profiler::curve();
   }
   void decay() override;
-  void reset() override;
 
  private:
   void on_atd_hit(const cache::StackEstimate& est) override;
@@ -127,51 +112,13 @@ class PLRUPART_EXPORT NruProfiler final : public Profiler {
   std::vector<double> smear_;  // fractional registers, kSmear mode only
 };
 
-/// BT eSDH: estimate = A - (ID xor path-bits); the estimate arrives fully
-/// formed in StackEstimate::point from TreePlru::estimate_position.
-class PLRUPART_EXPORT BtProfiler final : public Profiler {
- public:
-  BtProfiler(const cache::Geometry& geo, std::uint32_t sampling_ratio,
-             std::uint64_t seed = 0x5eed)
-      : Profiler(geo, cache::ReplacementKind::kTreePlru, sampling_ratio, seed) {}
-
-  [[nodiscard]] std::string name() const override { return "eSDH-BT"; }
-
- private:
-  void on_atd_hit(const cache::StackEstimate& est) override {
-    sdh_.record_hit(est.point);
-  }
-};
-
-/// SRRIP eSDH (extension): the RRPV quartile estimate arrives in
-/// StackEstimate::point from cache::Srrip::estimate_position; recording its
-/// far edge mirrors the NRU estimator's upper-bound convention.
-class PLRUPART_EXPORT SrripProfiler final : public Profiler {
- public:
-  SrripProfiler(const cache::Geometry& geo, std::uint32_t sampling_ratio,
-                std::uint64_t seed = 0x5eed)
-      : Profiler(geo, cache::ReplacementKind::kSrrip, sampling_ratio, seed) {}
-
-  [[nodiscard]] std::string name() const override { return "eSDH-SRRIP"; }
-
- private:
-  void on_atd_hit(const cache::StackEstimate& est) override {
-    sdh_.record_hit(est.point);
-  }
-};
-
-/// Which profiler variant a partitioned-cache configuration uses.
-enum class ProfilerKind : std::uint8_t {
-  kAuto,      ///< match the L2 replacement policy (the paper's setups)
-  kLruExact,  ///< idealized: exact LRU ATD regardless of the L2 policy
-  kNru,
-  kBt,
-  kSrrip,     ///< extension: RRPV-quartile estimates
-};
-
+/// The profiler the paper pairs with an L2 replacement policy: NRU gets the
+/// eSDH (`esdh_scale`, `nru_mode`), every other policy a point-estimate
+/// Profiler on an ATD of its own kind. Random replacement keeps no recency
+/// state to profile, so it gets the closest meaningful profile, an LRU ATD.
 [[nodiscard]] PLRUPART_EXPORT std::unique_ptr<Profiler> make_profiler(
-    ProfilerKind kind, cache::ReplacementKind l2_replacement,
-    const cache::Geometry& geo, std::uint32_t sampling_ratio, double esdh_scale,
-    NruUpdateMode nru_mode, std::uint64_t seed);
+    cache::ReplacementKind l2_replacement, const cache::Geometry& geo,
+    std::uint32_t sampling_ratio, double esdh_scale, NruUpdateMode nru_mode,
+    std::uint64_t seed);
 
 }  // namespace plrupart::core

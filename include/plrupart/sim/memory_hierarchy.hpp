@@ -77,8 +77,6 @@ class PLRUPART_EXPORT MemoryHierarchy {
   [[nodiscard]] cache::PrivateLruCache& l1d_mut(cache::CoreId core);
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
 
-  void reset();
-
  private:
   HierarchyConfig config_;
   std::vector<cache::PrivateLruCache> l1d_;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 
-#include "cache/policy_visit.hpp"
+#include "plrupart/cache/lru.hpp"
+#include "plrupart/cache/nru.hpp"
+#include "plrupart/cache/random_repl.hpp"
+#include "plrupart/cache/srrip.hpp"
+#include "plrupart/cache/tree_plru.hpp"
 
 namespace plrupart::cache {
 
@@ -139,7 +143,7 @@ AccessOutcome SetAssocCache::access_impl(Policy& pol, CoreId core, Addr addr,
 }
 
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
-  return visit_policy(kind_, *policy_, [&](auto& pol) {
+  const auto run = [&](auto& pol) {
     switch (enforcement_) {
       case EnforcementMode::kWayMasks:
         return access_impl<EnforcementMode::kWayMasks>(pol, core, addr, write);
@@ -149,7 +153,24 @@ AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
         break;
     }
     return access_impl<EnforcementMode::kNone>(pol, core, addr, write);
-  });
+  };
+  // Every shipped policy is `final`: downcasting once per access on the kind
+  // cached at construction (asserted against policy_->kind() there) lets the
+  // whole policy update inline instead of paying 2-3 virtual calls.
+  switch (kind_) {
+    case ReplacementKind::kLru:
+      return run(static_cast<TrueLru&>(*policy_));
+    case ReplacementKind::kNru:
+      return run(static_cast<Nru&>(*policy_));
+    case ReplacementKind::kTreePlru:
+      return run(static_cast<TreePlru&>(*policy_));
+    case ReplacementKind::kRandom:
+      return run(static_cast<RandomRepl&>(*policy_));
+    case ReplacementKind::kSrrip:
+      return run(static_cast<Srrip&>(*policy_));
+  }
+  PLRUPART_ASSERT_MSG(false, "unknown replacement kind");
+  return run(static_cast<TrueLru&>(*policy_));  // unreachable
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

@@ -75,9 +75,4 @@ void NruProfiler::decay() {
   for (auto& v : smear_) v *= 0.5;
 }
 
-void NruProfiler::reset() {
-  Profiler::reset();
-  for (auto& v : smear_) v = 0.0;
-}
-
 }  // namespace plrupart::core

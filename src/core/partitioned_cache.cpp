@@ -118,10 +118,9 @@ PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
   profilers_.reserve(config_.num_cores);
   std::vector<Profiler*> raw;
   for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-    profilers_.push_back(make_profiler(config_.profiler, config_.replacement,
-                                       config_.geometry, config_.sampling_ratio,
-                                       config_.esdh_scale, config_.nru_update,
-                                       derive_seed(config_.seed, i)));
+    profilers_.push_back(make_profiler(config_.replacement, config_.geometry,
+                                       config_.sampling_ratio, config_.esdh_scale,
+                                       config_.nru_update, derive_seed(config_.seed, i)));
     raw.push_back(profilers_.back().get());
   }
 
@@ -207,21 +206,6 @@ Partition PartitionedCacheSystem::current_partition() const {
   if (controller_) return controller_->current();
   // Unpartitioned: every core can use the whole cache.
   return Partition(config_.num_cores, config_.geometry.associativity);
-}
-
-std::uint64_t PartitionedCacheSystem::profiling_storage_bits(std::uint32_t tag_bits) const {
-  std::uint64_t bits = 0;
-  for (const auto& p : profilers_) {
-    bits += p->atd().storage_bits(tag_bits);
-    // SDH registers: A+1 counters; 32 bits each is the sizing used in [22].
-    bits += static_cast<std::uint64_t>(config_.geometry.associativity + 1) * 32;
-  }
-  return bits;
-}
-
-void PartitionedCacheSystem::reset() {
-  l2_->reset();
-  for (auto& p : profilers_) p->reset();
 }
 
 }  // namespace plrupart::core

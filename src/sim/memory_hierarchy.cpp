@@ -27,10 +27,4 @@ cache::PrivateLruCache& MemoryHierarchy::l1d_mut(cache::CoreId core) {
   return l1d_[core];
 }
 
-void MemoryHierarchy::reset() {
-  for (auto& l1 : l1d_) l1.reset();
-  l2_->reset();
-  for (auto& c : counters_) c = HierarchyCounters{};
-}
-
 }  // namespace plrupart::sim

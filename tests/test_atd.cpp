@@ -1,8 +1,13 @@
 // Auxiliary Tag Directory: set sampling, hit/miss semantics, pre-update
-// estimates, storage accounting.
+// estimates, and a digest pin of every observation per policy and shape.
 #include "plrupart/core/atd.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <string_view>
+#include <tuple>
 
 #include "plrupart/common/rng.hpp"
 
@@ -109,24 +114,83 @@ TEST(Atd, RejectsBadSamplingRatio) {
   EXPECT_THROW(Atd(l2_16sets(), cache::ReplacementKind::kLru, 32), InvariantError);
 }
 
-TEST(Atd, PaperStorageFigure) {
-  // Paper §III: 3.25KB per core for a 2MB 16-way L2 with 47 tag bits and 1/32
-  // sampling (LRU ATD): 32 sets x 16 ways x (47+1+4) bits.
-  Atd atd(cache::paper_l2_geometry(), cache::ReplacementKind::kLru, 32);
-  const auto bits = atd.storage_bits(47);
-  EXPECT_EQ(bits, 26624ULL);
-  EXPECT_DOUBLE_EQ(static_cast<double>(bits) / 8.0 / 1024.0, 3.25);
+
+// Observation digests over a seeded stream with heavy set conflicts, per
+// replacement kind x sampling ratio x associativity. Captured from the
+// stand-alone ATD tag store before it moved onto SetAssocCache: any drift in
+// sampling, hit/miss, the filled way or the pre-update estimate changes them.
+using GoldenParam = std::tuple<cache::ReplacementKind, std::uint32_t, std::uint32_t>;
+
+std::string golden_key(const GoldenParam& p) {
+  return cache::to_string(std::get<0>(p)) + "_r" + std::to_string(std::get<1>(p)) +
+         "_w" + std::to_string(std::get<2>(p));
 }
 
-TEST(Atd, ResetForgetsContents) {
-  const auto g = l2_16sets();
-  Atd atd(g, cache::ReplacementKind::kLru, 4);
-  atd.access(line_in_set(g, 0, 1));
-  atd.reset();
-  const auto obs = atd.access(line_in_set(g, 0, 1));
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_FALSE(obs->hit);
+// clang-format off
+const std::map<std::string, std::uint64_t> kAtdGolden = {
+    {"BT_r1_w16", 0x14d18b2e5ec60c02ULL},
+    {"BT_r1_w4", 0xcab3be8657588d44ULL},
+    {"BT_r4_w16", 0xd874deba4dc40cddULL},
+    {"BT_r4_w4", 0x82ba3c2d450da106ULL},
+    {"LRU_r1_w16", 0x78c492543f9a8ec5ULL},
+    {"LRU_r1_w4", 0x1b3f830d71d47e47ULL},
+    {"LRU_r4_w16", 0xfc2bd2df70d74eb5ULL},
+    {"LRU_r4_w4", 0xe4c3df9906d71a67ULL},
+    {"NRU_r1_w16", 0x4c917ee981ebca45ULL},
+    {"NRU_r1_w4", 0x903fea0a6858f2a7ULL},
+    {"NRU_r4_w16", 0x9615e83ad17834dbULL},
+    {"NRU_r4_w4", 0xcef065452245cd86ULL},
+    {"RANDOM_r1_w16", 0xf442090e24475c6dULL},
+    {"RANDOM_r1_w4", 0x28643213d03399a7ULL},
+    {"RANDOM_r4_w16", 0x2a2a021cddce0666ULL},
+    {"RANDOM_r4_w4", 0x6fa1ab211ee42d87ULL},
+    {"SRRIP_r1_w16", 0xf4ca055022858e66ULL},
+    {"SRRIP_r1_w4", 0xed5ce43d71a82d04ULL},
+    {"SRRIP_r4_w16", 0xc4b8432996a58cecULL},
+    {"SRRIP_r4_w4", 0xb7781b6527f79866ULL},
+};
+// clang-format on
+
+class AtdGolden : public ::testing::TestWithParam<GoldenParam> {};
+
+TEST_P(AtdGolden, ObservationDigestIsPinned) {
+  const auto [kind, ratio, ways] = GetParam();
+  // 64 sets; 3*A live tags per set keep every sampled set thrashing.
+  const cache::Geometry g{.size_bytes = 64ULL * ways * 64, .associativity = ways,
+                          .line_bytes = 64};
+  Atd atd(g, kind, ratio, /*seed=*/0xa7d);
+  Rng rng(20261017);
+  std::uint64_t h = kFnv1a64Init;
+  auto mix = [&h](std::uint64_t v) {
+    h = fnv1a64(std::string_view(reinterpret_cast<const char*>(&v), sizeof v), h);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t set = rng.next_below(16) * 4 + (rng.next_bool(0.1) ? 1 : 0);
+    const cache::Addr line = line_in_set(g, set, rng.next_below(3ULL * ways));
+    const auto obs = atd.access(line);
+    mix(obs.has_value() ? 1 : 0);
+    if (!obs) continue;
+    mix(obs->hit ? 1 : 0);
+    mix(obs->way);
+    mix(obs->estimate.lo);
+    mix(obs->estimate.hi);
+    mix(obs->estimate.point);
+  }
+  const std::string key = golden_key(GetParam());
+  const auto it = kAtdGolden.find(key);
+  ASSERT_NE(it, kAtdGolden.end()) << "no golden for " << key << ": 0x" << std::hex << h;
+  EXPECT_EQ(h, it->second) << key << ": 0x" << std::hex << h;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllShapes, AtdGolden,
+    ::testing::Combine(::testing::Values(cache::ReplacementKind::kLru,
+                                         cache::ReplacementKind::kNru,
+                                         cache::ReplacementKind::kTreePlru,
+                                         cache::ReplacementKind::kRandom,
+                                         cache::ReplacementKind::kSrrip),
+                       ::testing::Values(1U, 4U), ::testing::Values(4U, 16U)),
+    [](const ::testing::TestParamInfo<GoldenParam>& p) { return golden_key(p.param); });
 
 }  // namespace
 }  // namespace plrupart::core

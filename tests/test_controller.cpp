@@ -14,8 +14,10 @@ cache::Geometry small_l2() {
 
 struct ControllerRig {
   explicit ControllerRig(std::uint64_t interval = 1000, double hysteresis = 0.0) {
-    profilers.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
-    profilers.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+    profilers.push_back(
+        std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1));
+    profilers.push_back(
+        std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1));
     std::vector<Profiler*> raw{profilers[0].get(), profilers[1].get()};
     controller = std::make_unique<IntervalController>(
         interval, 4, std::make_unique<MinMissesPolicy>(), std::move(raw),
@@ -137,7 +139,8 @@ TEST(Controller, HysteresisStillRecordsHistory) {
 
 TEST(Controller, RejectsBadHysteresis) {
   std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+  profs.push_back(
+      std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1));
   std::vector<Profiler*> raw{profs[0].get()};
   EXPECT_THROW(IntervalController(100, 4, std::make_unique<MinMissesPolicy>(), raw,
                                   [](const Partition&) {}, 1.0),
@@ -149,7 +152,8 @@ TEST(Controller, RejectsBadHysteresis) {
 
 TEST(Controller, RejectsDegenerateConstruction) {
   std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+  profs.push_back(
+      std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1));
   std::vector<Profiler*> raw{profs[0].get()};
   EXPECT_THROW(IntervalController(0, 4, std::make_unique<MinMissesPolicy>(), raw,
                                   [](const Partition&) {}),

@@ -61,13 +61,5 @@ TEST(MemoryHierarchy, PartitionedL2Wired) {
       << "L2 accesses must feed the profiling logic";
 }
 
-TEST(MemoryHierarchy, ResetClearsCountersAndContents) {
-  MemoryHierarchy mh(small_config(1));
-  mh.access(0, 0x40, false, 0);
-  mh.reset();
-  EXPECT_EQ(mh.counters(0).l1_accesses, 0ULL);
-  EXPECT_EQ(mh.access(0, 0x40, false, 0), AccessLevel::kMemory) << "cold again";
-}
-
 }  // namespace
 }  // namespace plrupart::sim

@@ -135,13 +135,5 @@ TEST(PartitionedCache, RejectsMoreCoresThanWays) {
   EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError);
 }
 
-TEST(PartitionedCache, ProfilingStorageAccounted) {
-  auto cfg = CpaConfig::from_acronym("M-L", 2, cache::paper_l2_geometry());
-  PartitionedCacheSystem sys(cfg);
-  // Two LRU ATDs at 3.25KB plus two SDHs (17 x 32-bit registers).
-  const auto bits = sys.profiling_storage_bits(47);
-  EXPECT_EQ(bits, 2ULL * 26624 + 2ULL * 17 * 32);
-}
-
 }  // namespace
 }  // namespace plrupart::core

@@ -55,7 +55,7 @@ class StackOracle {
 
 TEST(LruProfiler, ExactAgainstOracleOnRandomTrace) {
   const auto g = small_l2();
-  LruProfiler prof(g, /*sampling_ratio=*/4);
+  Profiler prof(g, cache::ReplacementKind::kLru, /*sampling_ratio=*/4);
   StackOracle oracle(g.associativity);
   Rng rng(2718);
   for (int i = 0; i < 50000; ++i) {
@@ -74,7 +74,7 @@ TEST(LruProfiler, MissCurvePredictsIsolatedMissesExactly) {
   // Cyclic access to 3 distinct lines in a 4-way set: after warmup every
   // access hits at distance 3.
   const auto g = small_l2();
-  LruProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1);
   for (int round = 0; round < 10; ++round)
     for (std::uint64_t t = 0; t < 3; ++t)
       prof.record_access(line_in_set(g, 0, t));
@@ -180,7 +180,7 @@ TEST(NruProfiler, RejectsBadScale) {
 
 TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   prof.record_access(line_in_set(g, 0, 7));
   prof.record_access(line_in_set(g, 0, 7));
   EXPECT_EQ(prof.sdh().reg(1), 1ULL);
@@ -188,7 +188,7 @@ TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
 
 TEST(BtProfiler, EstimatesStayWithinStack) {
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   Rng rng(13);
   for (int i = 0; i < 20000; ++i) {
     prof.record_access(line_in_set(g, rng.next_below(g.sets()), rng.next_below(6)));
@@ -204,7 +204,7 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
   // ways are taken in order), sharing the deepest tree node: the XOR estimate
   // then reproduces the true LRU stack distance of 2 on every re-reference.
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   for (int i = 0; i < 10; ++i) {
     prof.record_access(line_in_set(g, 0, 0));
     prof.record_access(line_in_set(g, 0, 1));
@@ -217,27 +217,31 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
 
 TEST(ProfilerFactory, AutoMatchesReplacement) {
   const auto g = small_l2();
-  const auto lru = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kLru, g, 1,
-                                 1.0, NruUpdateMode::kPoint, 1);
+  const auto lru = make_profiler(cache::ReplacementKind::kLru, g, 1, 1.0,
+                                 NruUpdateMode::kPoint, 1);
   EXPECT_EQ(lru->name(), "SDH-LRU");
-  const auto nru = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kNru, g, 1,
-                                 0.75, NruUpdateMode::kPoint, 1);
+  const auto nru = make_profiler(cache::ReplacementKind::kNru, g, 1, 0.75,
+                                 NruUpdateMode::kPoint, 1);
   EXPECT_EQ(nru->name(), "eSDH-NRU(S=0.75)");
-  const auto bt = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kTreePlru, g,
-                                1, 1.0, NruUpdateMode::kPoint, 1);
+  const auto bt = make_profiler(cache::ReplacementKind::kTreePlru, g, 1, 1.0,
+                                NruUpdateMode::kPoint, 1);
   EXPECT_EQ(bt->name(), "eSDH-BT");
+  const auto srrip = make_profiler(cache::ReplacementKind::kSrrip, g, 1, 1.0,
+                                   NruUpdateMode::kPoint, 1);
+  EXPECT_EQ(srrip->name(), "eSDH-SRRIP");
 }
 
-TEST(ProfilerFactory, ExplicitOverrideIgnoresReplacement) {
+TEST(ProfilerFactory, RandomReplacementGetsLruAtd) {
   const auto g = small_l2();
-  const auto p = make_profiler(ProfilerKind::kLruExact, cache::ReplacementKind::kNru, g, 1,
-                               1.0, NruUpdateMode::kPoint, 1);
+  const auto p = make_profiler(cache::ReplacementKind::kRandom, g, 1, 1.0,
+                               NruUpdateMode::kPoint, 1);
   EXPECT_EQ(p->name(), "SDH-LRU");
+  EXPECT_EQ(p->atd().policy().kind(), cache::ReplacementKind::kLru);
 }
 
 TEST(Profiler, DecayHalvesSdh) {
   const auto g = small_l2();
-  LruProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1);
   for (int i = 0; i < 8; ++i) prof.record_access(line_in_set(g, 0, 0));
   EXPECT_EQ(prof.sdh().reg(1), 7ULL);
   prof.decay();

@@ -6,7 +6,7 @@ the build tree when --gen-include-dir is given):
 
   include-path   every quote-include must name a "plrupart/..." path that
                  resolves inside the installed include set. Internal src/
-                 headers (common/cli.hpp, cache/policy_visit.hpp, ...) are
+                 headers (common/cli.hpp, common/csv.hpp, ...) are
                  reachable in-tree through the plrupart::internal target only;
                  an installed header that mentions one ships a broken include.
   shadow         no installed header may share its plrupart-relative path with
