@@ -59,8 +59,6 @@ class PLRUPART_EXPORT Sdh {
   /// keeping a fair ratio between past and future intervals (paper §II-A).
   void decay_halve() noexcept { hist_.decay_halve(); }
 
-  void clear() noexcept { hist_.clear(); }
-
  private:
   std::uint32_t assoc_;
   Histogram hist_;

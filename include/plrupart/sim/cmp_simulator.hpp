@@ -44,8 +44,9 @@ struct PLRUPART_EXPORT SimConfig {
   std::uint64_t warmup_instr = 0;
   /// Watchdog: abort with TimeoutError once the run has consumed this many
   /// wall-clock seconds (0 disables it). The replay polls it every few
-  /// thousand ops and while it waits on the front end. Wall time never feeds
-  /// simulation state — a timeout kills the run, it cannot skew its numbers.
+  /// thousand ops and while it waits on the front end or the pricing worker
+  /// (src/sim/front_end.hpp). Wall time never feeds simulation state — a
+  /// timeout kills the run, it cannot skew its numbers.
   double timeout_s = 0.0;
   /// Deterministic fault plan for instrumented sites inside the simulator
   /// (FaultSite::kWorker, counted in front-end ops per core, lane = core).

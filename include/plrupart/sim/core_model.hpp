@@ -49,8 +49,9 @@ class PLRUPART_EXPORT CoreModel {
     mem_stall_ = params_.mem_penalty * params_.stall_fraction;
   }
 
-  /// Cycles to retire `n` instructions at base IPC: n / base_ipc.
-  [[nodiscard]] double gap_cycles(std::uint32_t n) const noexcept {
+  /// Cycles to retire `n` instructions at base IPC: n / base_ipc. 64-bit, so
+  /// a gap plus its memory op (up to 2^32 instructions) never wraps.
+  [[nodiscard]] double gap_cycles(std::uint64_t n) const noexcept {
     return n <= kGapTableMax ? gap_table_[n] : static_cast<double>(n) / params_.base_ipc;
   }
 

@@ -47,8 +47,8 @@ struct PLRUPART_EXPORT TimedParams {
   std::uint32_t l2_miss_to_dram_cycles = 30;  ///< L2 miss -> DRAM controller traversal
   std::uint32_t mshrs = 16;            ///< max outstanding L2 misses
   std::uint32_t writeback_queue = 8;   ///< max in-flight victim writebacks
-  std::uint32_t dram_banks = 8;        ///< independent DRAM banks
-  std::uint32_t row_bytes = 2048;      ///< row-buffer span per bank
+  std::uint32_t dram_banks = 8;        ///< independent DRAM banks (a power of two)
+  std::uint32_t row_bytes = 2048;      ///< row-buffer span per bank (a power of two)
   std::uint32_t t_row_hit = 100;       ///< open-row access (CAS + burst)
   std::uint32_t t_row_miss = 160;      ///< closed bank (activate + CAS + burst)
   std::uint32_t t_row_conflict = 220;  ///< other row open (precharge + act + CAS)
@@ -149,6 +149,10 @@ class PLRUPART_EXPORT TimedMemory {
 
   TimedParams params_;
   cache::Geometry geo_;
+  std::uint64_t set_mask_ = 0;   ///< L2 sets - 1
+  std::uint32_t way_shift_ = 0;  ///< log2(L2 associativity)
+  std::uint64_t bank_mask_ = 0;  ///< dram_banks - 1
+  std::uint32_t row_shift_ = 0;  ///< log2(dram_banks * lines per row)
   EventQueue queue_;
   std::vector<Mshr> mshrs_;
   std::vector<Bank> banks_;

@@ -6,12 +6,13 @@
 // interleave over core clocks, the shared L2 with its profilers and interval
 // controller, warmup windows, freeze at quota, and pricing. Pricing is the
 // one point where the timing modes differ: FixedLatency charges CoreModel's
-// fixed penalties; TimedOverlay additionally runs the event-driven
+// fixed penalties; TimedPricing additionally runs the event-driven
 // MSHR/writeback/banked-DRAM model (TimedMemory) on a second per-core clock,
-// which is what a timed run reports. Both see the same interleave (argmin
-// over the FUNCTIONAL clocks) and stamp the L2 with the same `now`, so the
-// shared L2 observes the exact same access stream in both modes and the
-// controller takes the same partition decisions at the same accesses.
+// which is what a timed run reports, on a pricing worker once one may start
+// (sim/front_end.hpp). Both see the same interleave (argmin over the
+// FUNCTIONAL clocks) and stamp the L2 with the same `now`, so the shared L2
+// observes the exact same access stream in both modes and the controller
+// takes the same partition decisions at the same accesses.
 #include "plrupart/sim/cmp_simulator.hpp"
 
 #include <algorithm>
@@ -26,51 +27,89 @@ namespace plrupart::sim {
 namespace {
 
 using internal::OpRecord;
+using internal::PriceKind;
+using internal::PriceRecord;
 
-/// Functional pricing: the fixed latencies CoreModel already charged.
+/// Functional pricing: the fixed latencies CoreModel already charged, so the
+/// functional clocks the replay reads are the result.
 struct FixedLatency {
   static constexpr const char* kRunLabel = "serial run";
-  void on_op(std::uint32_t /*core*/, const CoreModel& /*model*/, const OpRecord& /*op*/,
+  FixedLatency(const SimConfig& /*config*/, const internal::Watchdog& /*watchdog*/) {}
+  void on_op(std::uint32_t /*core*/, const OpRecord& /*op*/,
              const cache::AccessOutcome& /*l2*/) {}
-  [[nodiscard]] static double clock(const CoreModel& model, std::uint32_t /*core*/) {
-    return model.cycles();
-  }
+  void poll(std::uint64_t /*consumed*/, bool /*front_end_worker_running*/) {}
   void open_window() {}
   void freeze(std::uint32_t /*core*/) {}
-  void finish(SimResult& /*out*/) const {}
+  void finish(SimResult& /*out*/) {}
 };
 
-/// Timed pricing. A core keeps at most one L2 transaction in flight (its
+/// The timed overlay. A core keeps at most one L2 transaction in flight (its
 /// `outstanding` ticket). L1 hits retire under it — hit-under-miss — and the
 /// fill is awaited lazily at the core's next L2-reaching access, charging
 /// only the exposed fraction of whatever latency is still uncovered at that
 /// point. Cross-core concurrency is real: many cores' fills occupy MSHRs and
 /// DRAM banks at once, which is where queueing, coalescing, and bank
-/// conflicts come from.
-class TimedOverlay {
+/// conflicts come from. It keeps its own timed clock per core and records it
+/// where the window opens and where each core freezes.
+class TimedOverlay final : public internal::PricingSink {
  public:
-  static constexpr const char* kRunLabel = "timed run";
-
   explicit TimedOverlay(const SimConfig& config)
       : config_(config),
         line_shift_(ilog2_exact(config.hierarchy.l2.geometry.line_bytes)),
         memory_(config.timed, config.hierarchy.l2.geometry),
-        cores_(config.cores.size()) {}
+        cores_(config.cores.size()) {
+    models_.reserve(config.cores.size());
+    for (const CoreParams& p : config.cores) models_.emplace_back(p);
+  }
 
-  void on_op(std::uint32_t core, const CoreModel& model, const OpRecord& op,
-             const cache::AccessOutcome& l2) {
+  void price(const PriceRecord* records, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) price_one(records[i]);
+  }
+
+  void price_one(const PriceRecord& r) {
+    switch (r.kind) {
+      case PriceKind::kOp:
+        on_op(r);
+        break;
+      case PriceKind::kOpenWindow:
+        open_window();
+        break;
+      case PriceKind::kFreeze:
+        freeze(r.core);
+        break;
+    }
+  }
+
+  /// Each core's measured-window timed cycles; the window statistics.
+  void finish(SimResult& out) const {
+    for (std::size_t i = 0; i < out.threads.size(); ++i)
+      out.threads[i].cycles = cores_[i].frozen - cores_[i].base;
+    out.timing = TimingMode::kTimed;
+    out.timed = memory_.stats().delta_since(stats_base_);
+  }
+
+ private:
+  struct Core {
+    double cycles = 0.0;  ///< the timed clock (what this mode reports)
+    double base = 0.0;    ///< the clock when the window opened
+    double frozen = 0.0;  ///< the clock when the core reached its quota
+    TimedMemory::Ticket outstanding{};
+    bool has_outstanding = false;
+  };
+
+  void on_op(const PriceRecord& op) {
     // Same committed instructions as the functional clock, latency from the model.
-    Core& tc = cores_[core];
-    const double stall = config_.cores[core].stall_fraction;
-    tc.cycles += model.gap_cycles(std::uint64_t{op.gap_instrs} + 1);
+    Core& tc = cores_[op.core];
+    const double stall = config_.cores[op.core].stall_fraction;
+    tc.cycles += models_[op.core].gap_cycles(std::uint64_t{op.gap_instrs} + 1);
     if (op.l1_hit) return;
     // One demand transaction in flight per core: the previous one must
     // retire before the next issues (L1 hits in between already proceeded).
-    retire(core);
+    retire(op.core);
     const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
     const cache::Addr line = op.addr >> line_shift_;
-    if (l2.hit) {
-      const auto tk = memory_.hit(t_issue, line, l2.way, op.write);
+    if (op.l2_hit) {
+      const auto tk = memory_.hit(t_issue, line, op.way, op.write);
       if (tk.valid) {
         // Fill still in flight: this "hit" waits on the fill, not the array.
         tc.outstanding = tk;
@@ -79,14 +118,10 @@ class TimedOverlay {
         tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * stall;
       }
     } else {
-      tc.outstanding =
-          memory_.miss(t_issue, line, l2.way, op.write, l2.evicted_valid, l2.evicted_line);
+      tc.outstanding = memory_.miss(t_issue, line, op.way, op.write, op.evicted_valid,
+                                    op.evicted_line);
       tc.has_outstanding = true;
     }
-  }
-
-  [[nodiscard]] double clock(const CoreModel& /*model*/, std::uint32_t core) const {
-    return cores_[core].cycles;
   }
 
   /// Settle every in-flight transaction so the measured window starts from
@@ -95,21 +130,13 @@ class TimedOverlay {
     for (std::uint32_t i = 0; i < cores_.size(); ++i) retire(i);
     memory_.mark();
     stats_base_ = memory_.stats();
+    for (Core& tc : cores_) tc.base = tc.cycles;
   }
 
-  void freeze(std::uint32_t core) { retire(core); }  // the quota's last miss counts
-
-  void finish(SimResult& out) const {
-    out.timing = TimingMode::kTimed;
-    out.timed = memory_.stats().delta_since(stats_base_);
+  void freeze(std::uint32_t core) {
+    retire(core);  // the quota's last miss counts
+    cores_[core].frozen = cores_[core].cycles;
   }
-
- private:
-  struct Core {
-    double cycles = 0.0;  ///< the timed clock (what this mode reports)
-    TimedMemory::Ticket outstanding{};
-    bool has_outstanding = false;
-  };
 
   /// Await core's in-flight L2 transaction and charge the exposed remainder.
   void retire(std::uint32_t core) {
@@ -123,14 +150,66 @@ class TimedOverlay {
   const SimConfig& config_;
   std::uint32_t line_shift_;  ///< log2(L2 line bytes)
   TimedMemory memory_;
+  std::vector<CoreModel> models_;  ///< per core, for gap_cycles only
   std::vector<Core> cores_;
   TimedStats stats_base_;  ///< overlay counters at window open
+};
+
+/// Timed pricing: the overlay, priced inline until a pricing worker starts,
+/// then through the worker's ring.
+class TimedPricing {
+ public:
+  static constexpr const char* kRunLabel = "timed run";
+
+  TimedPricing(const SimConfig& config, const internal::Watchdog& watchdog)
+      : overlay_(config), pipe_(overlay_, watchdog) {}
+
+  void on_op(std::uint32_t core, const OpRecord& op, const cache::AccessOutcome& l2) {
+    submit(PriceRecord{.addr = op.addr,
+                       .evicted_line = l2.evicted_line,
+                       .gap_instrs = op.gap_instrs,
+                       .core = core,
+                       .way = static_cast<std::uint8_t>(l2.way),
+                       .kind = PriceKind::kOp,
+                       .write = op.write,
+                       .l1_hit = op.l1_hit,
+                       .l2_hit = l2.hit,
+                       .evicted_valid = l2.evicted_valid});
+  }
+  void poll(std::uint64_t consumed, bool front_end_worker_running) {
+    pipe_.maybe_start_worker(consumed, front_end_worker_running);
+  }
+  void open_window() { submit(marker(PriceKind::kOpenWindow, 0)); }
+  void freeze(std::uint32_t core) { submit(marker(PriceKind::kFreeze, core)); }
+  void finish(SimResult& out) {
+    pipe_.drain();
+    overlay_.finish(out);
+  }
+
+ private:
+  static PriceRecord marker(PriceKind kind, std::uint32_t core) {
+    PriceRecord r{};
+    r.kind = kind;
+    r.core = core;
+    return r;
+  }
+
+  void submit(const PriceRecord& r) {
+    if (pipe_.worker_running()) {
+      pipe_.push(r);
+    } else {
+      overlay_.price_one(r);
+    }
+  }
+
+  TimedOverlay overlay_;
+  internal::PricingPipe pipe_;
 };
 
 /// The replay loop: the back end of every run.
 template <class Pricing>
 SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSource>>& traces,
-                 MemoryHierarchy& hierarchy, Pricing& pricing) {
+                 MemoryHierarchy& hierarchy) {
   const std::uint32_t n = hierarchy.num_cores();
   std::vector<CoreModel> models;  // functional clocks: they drive the interleave
   models.reserve(n);
@@ -156,10 +235,14 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
 
   const internal::Watchdog watchdog(config.timeout_s, Pricing::kRunLabel);
   const bool has_deadline = config.timeout_s > 0.0;
+  Pricing pricing(config, watchdog);
   internal::FrontEnd front(traces, hierarchy, config.faults.get(), watchdog);
 
   while (remaining > 0) {
-    if (has_deadline && (++ops & 0xfffU) == 0) watchdog.check();
+    if ((++ops & 0xfffU) == 0) {
+      if (has_deadline) watchdog.check();
+      pricing.poll(ops, front.worker_running());
+    }
     // Advance the core with the smallest local clock, lowest index on ties
     // (finished cores keep running to preserve contention, with frozen
     // statistics). Branch-free over a contiguous copy of the clocks.
@@ -178,7 +261,7 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
     cache::AccessOutcome l2;
     model.commit_mem(hierarchy.access_shared(core, op.addr, op.write, op.l1_hit, now, l2));
     clocks[core] = model.cycles();
-    pricing.on_op(core, model, op, l2);
+    pricing.on_op(core, op, l2);
 
     if (!windows_open) {
       // Windows open for everyone at once, when the slowest core has warmed:
@@ -192,7 +275,7 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
         pricing.open_window();
         for (std::uint32_t i = 0; i < n; ++i) {
           baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = pricing.clock(models[i], i);
+          baselines[i].cycles = models[i].cycles();
           baselines[i].mem = hierarchy.counters(i);
         }
       }
@@ -208,8 +291,7 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
       ThreadResult& r = results[core];
       r.benchmark = names[core];
       r.instructions = model.instructions() - base.instructions;
-      r.cycles = pricing.clock(model, core) - base.cycles;
-      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
+      r.cycles = model.cycles() - base.cycles;
       const HierarchyCounters& now_mem = hierarchy.counters(core);
       r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
       r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
@@ -220,13 +302,16 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
 
   SimResult out;
   out.threads = std::move(results);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
+  pricing.finish(out);  // timed: the overlay's clocks replace the functional ones
+  for (auto& t : out.threads) {
+    t.ipc = t.cycles > 0.0 ? static_cast<double>(t.instructions) / t.cycles : 0.0;
+    out.wall_cycles = std::max(out.wall_cycles, t.cycles);
+  }
   for (std::uint32_t i = 0; i < n; ++i)
     out.simulated_accesses += hierarchy.counters(i).l1_accesses;
   const auto* ctrl = hierarchy.l2().controller();
   out.repartitions = ctrl ? ctrl->history().size() : 0;
   out.l2_config = hierarchy.l2().config().acronym();
-  pricing.finish(out);
   return out;
 }
 
@@ -255,12 +340,9 @@ SimResult CmpSimulator::run() {
   }
   ran_ = true;
 
-  if (config_.timing_mode == TimingMode::kTimed) {
-    TimedOverlay timed(config_);
-    return replay(config_, traces_, *hierarchy_, timed);
-  }
-  FixedLatency functional;
-  return replay(config_, traces_, *hierarchy_, functional);
+  if (config_.timing_mode == TimingMode::kTimed)
+    return replay<TimedPricing>(config_, traces_, *hierarchy_);
+  return replay<FixedLatency>(config_, traces_, *hierarchy_);
 }
 
 }  // namespace plrupart::sim

@@ -15,15 +15,63 @@ namespace plrupart::sim::internal {
 
 namespace {
 
-/// Ring memory of one run, all cores together.
+/// Ring memory of one run's front end, all cores together.
 constexpr std::uint64_t kRingRecords = (std::uint64_t{256} << 10) / sizeof(OpRecord);
-/// The replay hands consumed slots back to the producer at least this often.
-constexpr std::uint64_t kChunk = 256;
 
 std::atomic<FrontEndMode> g_mode{FrontEndMode::kAuto};
 std::atomic<std::uint64_t> g_workers_started{0};
-/// Running replays plus running front-end workers, process-wide.
+std::atomic<std::uint64_t> g_pricing_started{0};
+/// Running replays plus running workers of either kind, process-wide.
 std::atomic<std::uint32_t> g_busy{0};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// The worker rule: may a worker start after `consumed` ops of its run? Under
+/// kAuto a yes takes a CPU of the budget into `cpu`.
+bool may_start_worker(FrontEndMode mode, std::uint64_t consumed, SpareCpu& cpu) {
+  switch (mode) {
+    case FrontEndMode::kInline:
+      return false;
+    case FrontEndMode::kWorker:
+      return true;
+    case FrontEndMode::kAuto:
+      return consumed >= kWorkerAfterOps && cpu.acquire();
+  }
+  return false;
+}
+
+/// Start `worker` running `fn` and count it in `started`. False, with `cpu`
+/// handed back, when no thread can be had.
+template <class Fn>
+bool spawn_worker(std::thread& worker, SpareCpu& cpu, std::atomic<std::uint64_t>& started,
+                  Fn fn) {
+  try {
+    worker = std::thread(std::move(fn));
+  } catch (const std::system_error&) {
+    cpu.release();
+    return false;
+  }
+  started.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+}  // namespace
+
+void set_front_end_mode(FrontEndMode mode) noexcept {
+  g_mode.store(mode, std::memory_order_relaxed);
+}
+
+std::uint64_t front_end_workers_started() noexcept {
+  return g_workers_started.load(std::memory_order_relaxed);
+}
+
+std::uint64_t pricing_workers_started() noexcept {
+  return g_pricing_started.load(std::memory_order_relaxed);
+}
 
 std::uint32_t usable_cpus() {
   static const std::uint32_t cpus = [] {
@@ -39,29 +87,29 @@ std::uint32_t usable_cpus() {
   return cpus;
 }
 
-bool acquire_spare_cpu() {
+bool SpareCpu::acquire() noexcept {
+  if (held_) return true;
   const std::uint32_t cpus = usable_cpus();
   std::uint32_t busy = g_busy.load(std::memory_order_relaxed);
   while (busy < cpus) {
-    if (g_busy.compare_exchange_weak(busy, busy + 1, std::memory_order_relaxed)) return true;
+    if (g_busy.compare_exchange_weak(busy, busy + 1, std::memory_order_relaxed))
+      return held_ = true;
   }
   return false;
 }
 
-void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
+void SpareCpu::release() noexcept {
+  if (held_) g_busy.fetch_sub(1, std::memory_order_relaxed);
+  held_ = false;
 }
 
-}  // namespace
-
-void set_front_end_mode(FrontEndMode mode) noexcept {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-std::uint64_t front_end_workers_started() noexcept {
-  return g_workers_started.load(std::memory_order_relaxed);
+void Backoff::pause(const Watchdog* watchdog) {
+  if (++spins_ % 64 == 0) {
+    if (watchdog != nullptr) watchdog->check();
+    std::this_thread::yield();
+  } else {
+    cpu_relax();
+  }
 }
 
 Watchdog::Watchdog(double timeout_s, const char* what) : timeout_s_(timeout_s), what_(what) {
@@ -103,7 +151,7 @@ FrontEnd::FrontEnd(std::vector<std::unique_ptr<TraceSource>>& traces,
 FrontEnd::~FrontEnd() {
   stop_.store(true, std::memory_order_release);
   if (worker_.joinable()) worker_.join();
-  g_busy.fetch_sub(holds_cpu_ ? 2 : 1, std::memory_order_relaxed);
+  g_busy.fetch_sub(1, std::memory_order_relaxed);  // the worker's CPU: cpu_
 }
 
 void FrontEnd::refill(Lane& l) {
@@ -115,7 +163,8 @@ void FrontEnd::refill(Lane& l) {
       (void)produce(l);  // the ring is empty and holds a whole block
     }
   }
-  for (std::uint32_t spins = 0;; ++spins) {
+  Backoff backoff;
+  for (bool first = true;; first = false) {
     const std::uint64_t tail = l.tail.load(std::memory_order_acquire);
     if (tail != l.head) {
       l.limit = std::min(tail, l.head + kChunk);
@@ -127,13 +176,8 @@ void FrontEnd::refill(Lane& l) {
       std::rethrow_exception(l.error);
     }
     // Only the worker can make progress now.
-    if (spins == 0) wanted_.store(l.core, std::memory_order_relaxed);
-    if (spins % 64 == 63) {
-      watchdog_.check();
-      std::this_thread::yield();
-    } else {
-      cpu_relax();
-    }
+    if (first) wanted_.store(l.core, std::memory_order_relaxed);
+    backoff.pause(&watchdog_);
   }
   wanted_.store(n_, std::memory_order_relaxed);
 }
@@ -180,36 +224,20 @@ bool FrontEnd::produce(Lane& l) {
 }
 
 void FrontEnd::maybe_start_worker() {
-  switch (mode_) {
-    case FrontEndMode::kInline:
-      return;
-    case FrontEndMode::kAuto: {
-      std::uint64_t consumed = 0;
-      for (std::uint32_t c = 0; c < n_; ++c) consumed += lanes_[c].head;
-      if (consumed < kWorkerAfterOps || !acquire_spare_cpu()) return;
-      holds_cpu_ = true;
-      break;
-    }
-    case FrontEndMode::kWorker:
-      break;
-  }
+  std::uint64_t consumed = 0;
+  for (std::uint32_t c = 0; c < n_; ++c) consumed += lanes_[c].head;
+  if (!may_start_worker(mode_, consumed, cpu_)) return;
   // The worker runs ahead: give every lane its full share of the ring budget.
   for (std::uint32_t c = 0; c < n_; ++c) resize_ring(lanes_[c], capacity_);
-  try {
-    worker_ = std::thread([this] { worker_loop(); });
-  } catch (const std::system_error&) {
-    // No thread to be had: stay inline for the rest of the run.
-    if (holds_cpu_) g_busy.fetch_sub(1, std::memory_order_relaxed);
-    holds_cpu_ = false;
-    mode_ = FrontEndMode::kInline;
+  if (!spawn_worker(worker_, cpu_, g_workers_started, [this] { worker_loop(); })) {
+    mode_ = FrontEndMode::kInline;  // no thread to be had: inline for the rest of the run
     return;
   }
   worker_running_ = true;
-  g_workers_started.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FrontEnd::worker_loop() noexcept {
-  std::uint32_t idle = 0;
+  Backoff backoff;
   while (!stop_.load(std::memory_order_acquire)) {
     // The lane the replay waits on first, else the emptiest lane with room.
     const std::uint32_t w = wanted_.load(std::memory_order_relaxed);
@@ -230,12 +258,98 @@ void FrontEnd::worker_loop() noexcept {
       did = best != nullptr && produce(*best);
     }
     if (did) {
-      idle = 0;
-    } else if (++idle % 64 == 0) {
-      std::this_thread::yield();
+      backoff.reset();
     } else {
-      cpu_relax();
+      backoff.pause();
     }
+  }
+}
+
+PricingPipe::PricingPipe(PricingSink& sink, const Watchdog& watchdog)
+    : sink_(sink), watchdog_(watchdog), mode_(g_mode.load(std::memory_order_relaxed)) {
+  if (mode_ == FrontEndMode::kWorker) start();
+}
+
+PricingPipe::~PricingPipe() {
+  stop_.store(true, std::memory_order_release);
+  if (worker_.joinable()) worker_.join();
+}
+
+void PricingPipe::maybe_start_worker(std::uint64_t consumed,
+                                     bool front_end_worker_running) {
+  if (running_ || mode_ != FrontEndMode::kAuto || !front_end_worker_running) return;
+  if (may_start_worker(mode_, consumed, cpu_)) start();
+}
+
+void PricingPipe::start() {
+  ring_ = std::make_unique_for_overwrite<PriceRecord[]>(kRingRecords);
+  room_ = kRingRecords;
+  if (!spawn_worker(worker_, cpu_, g_pricing_started, [this] { worker_loop(); })) {
+    mode_ = FrontEndMode::kInline;  // no thread to be had: price inline to the end
+    ring_.reset();
+    return;
+  }
+  running_ = true;
+}
+
+void PricingPipe::publish() {
+  tail_.store(produced_, std::memory_order_release);
+  rethrow_if_failed();
+}
+
+void PricingPipe::rethrow_if_failed() {
+  if (failed_.load(std::memory_order_acquire)) std::rethrow_exception(error_);
+}
+
+void PricingPipe::wait_for_room() {
+  publish();
+  Backoff backoff;
+  for (;;) {
+    room_ = consumed_.load(std::memory_order_acquire) + kRingRecords;
+    if (room_ != produced_) return;
+    rethrow_if_failed();
+    backoff.pause(&watchdog_);
+  }
+}
+
+void PricingPipe::drain() {
+  if (!running_) return;
+  publish();
+  Backoff backoff;
+  while (consumed_.load(std::memory_order_acquire) != produced_) {
+    rethrow_if_failed();
+    backoff.pause(&watchdog_);
+  }
+  stop_.store(true, std::memory_order_release);
+  worker_.join();
+  running_ = false;
+  cpu_.release();
+}
+
+void PricingPipe::worker_loop() noexcept {
+  std::uint64_t head = 0;
+  Backoff backoff;
+  while (!stop_.load(std::memory_order_acquire)) {
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    if (tail == head) {
+      backoff.pause();
+      continue;
+    }
+    const std::uint64_t end = std::min(tail, head + kChunk);
+    try {
+      while (head != end) {  // at most two contiguous spans
+        const std::uint64_t slot = head & (kRingRecords - 1);
+        const std::uint64_t count = std::min(end - head, kRingRecords - slot);
+        sink_.price(&ring_[slot], static_cast<std::size_t>(count));
+        head += count;
+      }
+    } catch (...) {
+      error_ = std::current_exception();
+      failed_.store(true, std::memory_order_release);
+      return;
+    }
+    consumed_.store(head, std::memory_order_release);
+    backoff.reset();
   }
 }
 

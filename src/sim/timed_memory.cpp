@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "plrupart/common/assert.hpp"
+#include "plrupart/common/bits.hpp"
 #include "plrupart/common/error.hpp"
 
 namespace plrupart::sim {
@@ -22,8 +23,10 @@ void TimedParams::validate() const {
   PLRUPART_ASSERT_MSG(mshrs >= 1, "timed mode needs at least one MSHR");
   PLRUPART_ASSERT_MSG(writeback_queue >= 1,
                       "timed mode needs at least one writeback-queue slot");
-  PLRUPART_ASSERT_MSG(dram_banks >= 1, "timed mode needs at least one DRAM bank");
-  PLRUPART_ASSERT_MSG(row_bytes >= 1, "row_bytes must be positive");
+  PLRUPART_ASSERT_MSG(dram_banks >= 1 && is_pow2(dram_banks),
+                      "dram_banks must be a power of two");
+  PLRUPART_ASSERT_MSG(row_bytes >= 1 && is_pow2(row_bytes),
+                      "row_bytes must be a power of two");
 }
 
 TimedStats TimedStats::delta_since(const TimedStats& base) const {
@@ -47,6 +50,13 @@ TimedMemory::TimedMemory(const TimedParams& params, const cache::Geometry& l2_ge
   geo_.validate();
   PLRUPART_ASSERT_MSG(params_.row_bytes >= geo_.line_bytes,
                       "DRAM row must span at least one cache line");
+  // Every field is a power of two, so the address mapping is bit slicing:
+  // line -> bank is the low bits, the row is what lies above bank and column.
+  set_mask_ = geo_.sets() - 1;
+  way_shift_ = ilog2_exact(geo_.associativity);
+  bank_mask_ = params_.dram_banks - 1;
+  row_shift_ = ilog2_exact(params_.dram_banks) + ilog2_exact(params_.row_bytes) -
+               ilog2_exact(geo_.line_bytes);
   banks_.resize(params_.dram_banks);
   // Slot bookkeeping is sized on demand (a filled-but-unretired entry briefly
   // holds a slot past its hardware lifetime); the HARDWARE limit is enforced
@@ -56,18 +66,16 @@ TimedMemory::TimedMemory(const TimedParams& params, const cache::Geometry& l2_ge
 }
 
 std::uint32_t TimedMemory::bank_of(cache::Addr line) const noexcept {
-  return static_cast<std::uint32_t>(line % params_.dram_banks);
+  return static_cast<std::uint32_t>(line & bank_mask_);
 }
 
 std::uint64_t TimedMemory::row_of(cache::Addr line) const noexcept {
-  const std::uint64_t lines_per_row =
-      std::max<std::uint64_t>(1, params_.row_bytes / geo_.line_bytes);
-  return (line / params_.dram_banks) / lines_per_row;
+  return line >> row_shift_;
 }
 
 std::size_t TimedMemory::dirty_index(cache::Addr line, std::uint32_t way) const {
   PLRUPART_ASSERT(way < geo_.associativity);
-  return static_cast<std::size_t>(geo_.set_index(line)) * geo_.associativity + way;
+  return static_cast<std::size_t>(((line & set_mask_) << way_shift_) | way);
 }
 
 void TimedMemory::process_until(std::uint64_t t) {

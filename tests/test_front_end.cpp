@@ -1,21 +1,26 @@
-// The simulator's per-core front end: the inline path and the worker-thread
-// path must be indistinguishable from outside. Same SimResult for short and
-// long runs in both timing modes; trace errors and injected `worker` faults
+// The replay's helper workers: the per-core front end and the timed runs'
+// pricing worker. The inline path and the worker-thread paths must be
+// indistinguishable from outside. Same SimResult for short and long runs in
+// both timing modes; trace errors and injected `worker` and `read` faults
 // surface on the replay thread at exactly the op where a one-op-at-a-time
-// replay would raise them, and not at all when the run ends first; the
-// watchdog fires while the replay waits on the worker. Runs the worker path
-// under the TSan tier.
+// replay would raise them, and not at all when the run ends first; an
+// overlay error on the pricing worker fails the run with its own type and
+// message; the watchdog fires while the replay waits on either worker. Runs
+// the worker paths under the TSan tier.
 #include "sim/front_end.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "plrupart/common/error.hpp"
@@ -23,6 +28,7 @@
 #include "plrupart/runner/run_spec.hpp"
 #include "plrupart/runner/sweep_executor.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
+#include "plrupart/sim/trace_file.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 #include "plrupart/workloads/workload_table.hpp"
@@ -114,6 +120,7 @@ struct Outcome {
   SimResult result;
   std::vector<HierarchyCounters> counters;  ///< per core, when the run ended
   std::string error;                        ///< what() of the escaping exception
+  std::string error_type;                   ///< its dynamic type
 };
 
 Outcome run(FrontEndMode mode, SimConfig cfg, std::vector<std::unique_ptr<TraceSource>> traces) {
@@ -125,6 +132,7 @@ Outcome run(FrontEndMode mode, SimConfig cfg, std::vector<std::unique_ptr<TraceS
     out.result = sim.run();
   } catch (const std::exception& e) {
     out.error = e.what();
+    out.error_type = typeid(e).name();
   }
   for (std::uint32_t c = 0; c < n; ++c) out.counters.push_back(sim.hierarchy().counters(c));
   return out;
@@ -132,6 +140,7 @@ Outcome run(FrontEndMode mode, SimConfig cfg, std::vector<std::unique_ptr<TraceS
 
 void expect_same(const Outcome& a, const Outcome& b, const std::string& ctx) {
   EXPECT_EQ(a.error, b.error) << ctx;
+  EXPECT_EQ(a.error_type, b.error_type) << ctx;
   ASSERT_EQ(a.result.threads.size(), b.result.threads.size()) << ctx;
   for (std::size_t i = 0; i < a.result.threads.size(); ++i) {
     const ThreadResult& x = a.result.threads[i];
@@ -183,12 +192,16 @@ TEST(FrontEnd, WorkerAndInlineAgreeOnLongFourCoreRuns) {
     const SimConfig cfg = config_for(kMix, "M-BT", mode, 400'000, 100'000);
     const auto inline_run = run(FrontEndMode::kInline, cfg, traces_for(kMix));
     const std::uint64_t started = internal::front_end_workers_started();
+    const std::uint64_t pricing = internal::pricing_workers_started();
     const auto worker_run = run(FrontEndMode::kWorker, cfg, traces_for(kMix));
     EXPECT_EQ(internal::front_end_workers_started(), started + 1)
         << "the forced worker path did not start a worker";
+    EXPECT_EQ(internal::pricing_workers_started(),
+              pricing + (mode == TimingMode::kTimed ? 1 : 0))
+        << "a forced worker run starts a pricing worker exactly when it is timed";
     const auto auto_run = run(FrontEndMode::kAuto, cfg, traces_for(kMix));
     ASSERT_TRUE(inline_run.error.empty()) << inline_run.error;
-    EXPECT_GT(inline_run.result.simulated_accesses, internal::FrontEnd::kWorkerAfterOps);
+    EXPECT_GT(inline_run.result.simulated_accesses, internal::kWorkerAfterOps);
     expect_same(inline_run, worker_run, "worker " + to_string(mode));
     expect_same(inline_run, auto_run, "auto " + to_string(mode));
   }
@@ -219,11 +232,15 @@ TEST(FrontEnd, SecondRunThrowsInvariantErrorOnBothPaths) {
 }
 
 TEST(FrontEnd, InlineModeNeverStartsAWorker) {
-  const SimConfig cfg = config_for(kMix, "M-0.75N", TimingMode::kFunctional, 200'000, 0);
-  const std::uint64_t started = internal::front_end_workers_started();
-  const auto r = run(FrontEndMode::kInline, cfg, traces_for(kMix));
-  ASSERT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(internal::front_end_workers_started(), started);
+  for (const TimingMode mode : {TimingMode::kFunctional, TimingMode::kTimed}) {
+    const SimConfig cfg = config_for(kMix, "M-0.75N", mode, 200'000, 0);
+    const std::uint64_t started = internal::front_end_workers_started();
+    const std::uint64_t pricing = internal::pricing_workers_started();
+    const auto r = run(FrontEndMode::kInline, cfg, traces_for(kMix));
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    EXPECT_EQ(internal::front_end_workers_started(), started) << to_string(mode);
+    EXPECT_EQ(internal::pricing_workers_started(), pricing) << to_string(mode);
+  }
 }
 
 TEST(FrontEnd, TraceErrorSurfacesAtExactlyItsOpOnBothPaths) {
@@ -350,6 +367,210 @@ TEST(FrontEnd, ConcurrentSweepJobsMatchTheInlineCsv) {
   const std::string reference = csv(FrontEndMode::kInline, 1);
   EXPECT_EQ(csv(FrontEndMode::kAuto, 3), reference);
   EXPECT_EQ(csv(FrontEndMode::kWorker, 3), reference);
+}
+
+// ---------------------------------------------------------------------------
+// The pricing worker behind the replay of timed runs.
+// ---------------------------------------------------------------------------
+
+/// Holds CPUs of the process-wide worker budget until `spare` remain free
+/// beside one running replay.
+class BudgetHolder {
+ public:
+  explicit BudgetHolder(std::uint32_t spare) {
+    for (;;) {
+      auto cpu = std::make_unique<internal::SpareCpu>();
+      if (!cpu->acquire()) break;
+      held_.push_back(std::move(cpu));
+    }
+    // Everything is held now; hand back the run's replay plus `spare`.
+    for (std::uint32_t i = 0; i < spare + 1 && !held_.empty(); ++i) held_.pop_back();
+  }
+
+ private:
+  std::vector<std::unique_ptr<internal::SpareCpu>> held_;
+};
+
+TEST(PricingWorker, AutoModeGivesTheFrontEndTheFirstSpareCpu) {
+  // One spare CPU: the front end's worker takes it and pricing stays inline.
+  // Two: both workers run. Either way the result is the inline one.
+  if (internal::usable_cpus() < 2) GTEST_SKIP() << "needs two usable CPUs";
+  const SimConfig cfg = config_for(kMix, "M-BT", TimingMode::kTimed, 200'000, 50'000);
+  const auto inline_run = run(FrontEndMode::kInline, cfg, traces_for(kMix));
+  ASSERT_TRUE(inline_run.error.empty()) << inline_run.error;
+  ASSERT_GT(inline_run.result.simulated_accesses, 2 * internal::kWorkerAfterOps);
+  for (const std::uint32_t spare : {1U, 2U}) {
+    if (spare + 1 > internal::usable_cpus()) continue;
+    const BudgetHolder budget(spare);
+    const std::uint64_t started = internal::front_end_workers_started();
+    const std::uint64_t pricing = internal::pricing_workers_started();
+    const auto auto_run = run(FrontEndMode::kAuto, cfg, traces_for(kMix));
+    EXPECT_EQ(internal::front_end_workers_started(), started + 1) << spare << " spare";
+    EXPECT_EQ(internal::pricing_workers_started(), pricing + (spare - 1))
+        << spare << " spare";
+    expect_same(inline_run, auto_run, std::to_string(spare) + " spare CPUs");
+  }
+}
+
+TEST(PricingWorker, TraceReadFaultFailsAlikeOnBothPaths) {
+  // Recorded v2 traces read through a small buffer, so a `read` fault plan
+  // fires at some refill mid-run: timed runs must fail with the same type and
+  // message, at the same op, with and without the helper workers.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plrupart_pricing_read_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> paths;
+  for (std::uint32_t i = 0; i < kMix.size(); ++i) {
+    auto gen = workloads::make_trace(workloads::benchmark(kMix[i]), i, 7);
+    paths.push_back((dir / (kMix[i] + ".trace")).string());
+    write_trace_file(paths.back(), record_trace(*gen, 20'000), TraceFormat::kBinaryV2);
+  }
+  auto file_traces = [&](const std::shared_ptr<const FaultPlan>& plan) {
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (std::uint32_t i = 0; i < paths.size(); ++i) {
+      auto src = std::make_unique<FileTraceSource>(paths[i], 512);
+      if (plan) src->set_fault_plan(plan, i);
+      traces.push_back(std::move(src));
+    }
+    return traces;
+  };
+  const SimConfig cfg = config_for(kMix, "M-0.75N", TimingMode::kTimed, 60'000, 15'000);
+  const auto clean = run(FrontEndMode::kInline, cfg, file_traces(nullptr));
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  FaultSpec spec;
+  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 2e-4;
+  int mid_run = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto plan = std::make_shared<const FaultPlan>(spec, seed);
+    const auto a = run(FrontEndMode::kInline, cfg, file_traces(plan));
+    const auto b = run(FrontEndMode::kWorker, cfg, file_traces(plan));
+    expect_same(a, b, "plan seed " + std::to_string(seed));
+    if (a.error.empty()) continue;
+    EXPECT_EQ(a.error_type, typeid(InjectedFault).name()) << a.error;
+    EXPECT_NE(a.error.find("injected read fault"), std::string::npos) << a.error;
+    std::uint64_t consumed = 0;
+    for (const auto& c : a.counters) consumed += c.l1_accesses;
+    if (consumed > 10'000) ++mid_run;
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(mid_run, 0) << "no plan seed failed mid-run; adjust the probability";
+}
+
+/// Records every price record's gap; can sleep per record or throw at one.
+class TestSink final : public internal::PricingSink {
+ public:
+  void price(const internal::PriceRecord* records, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+      if (seen_.size() == throw_at_) {
+        throw InvariantError("overlay failed at record " + std::to_string(throw_at_));
+      }
+      seen_.push_back(records[i].gap_instrs);
+    }
+  }
+  std::chrono::milliseconds delay_{0};
+  std::size_t throw_at_ = static_cast<std::size_t>(-1);
+  std::vector<std::uint32_t> seen_;
+};
+
+internal::PriceRecord numbered(std::uint32_t i) {
+  internal::PriceRecord r{};
+  r.gap_instrs = i;
+  return r;
+}
+
+TEST(PricingWorker, EveryRecordArrivesOnceAndInOrderThroughAFullRing) {
+  const ScopedMode scoped(FrontEndMode::kWorker);
+  const internal::Watchdog watchdog(0.0, "timed run");
+  TestSink sink;
+  const std::uint64_t pricing = internal::pricing_workers_started();
+  internal::PricingPipe pipe(sink, watchdog);
+  ASSERT_TRUE(pipe.worker_running());
+  EXPECT_EQ(internal::pricing_workers_started(), pricing + 1);
+  constexpr std::uint32_t kRecords = 5 * internal::PricingPipe::kRingRecords + 77;
+  for (std::uint32_t i = 0; i < kRecords; ++i) pipe.push(numbered(i));
+  pipe.drain();
+  EXPECT_FALSE(pipe.worker_running());
+  ASSERT_EQ(sink.seen_.size(), kRecords);
+  for (std::uint32_t i = 0; i < kRecords; ++i) ASSERT_EQ(sink.seen_[i], i);
+}
+
+TEST(PricingWorker, OverlayErrorRethrowsOnTheReplayWithItsTypeAndMessage) {
+  // Inline, the replay calls the sink itself and the error escapes at once;
+  // on the worker it is stored and rethrown by push() or drain().
+  auto capture = [](auto&& body) -> std::pair<std::string, std::string> {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      return {typeid(e).name(), e.what()};
+    }
+    return {};
+  };
+  constexpr std::size_t kThrowAt = 3000;
+  TestSink inline_sink;
+  inline_sink.throw_at_ = kThrowAt;
+  const auto inline_error = capture([&] {
+    for (std::uint32_t i = 0; i < 20'000; ++i) {
+      const internal::PriceRecord r = numbered(i);
+      inline_sink.price(&r, 1);
+    }
+  });
+  ASSERT_EQ(inline_error.first, typeid(InvariantError).name());
+  for (const std::uint32_t pushed : {std::uint32_t{4000}, std::uint32_t{60'000}}) {
+    const ScopedMode scoped(FrontEndMode::kWorker);
+    const internal::Watchdog watchdog(0.0, "timed run");
+    TestSink sink;
+    sink.throw_at_ = kThrowAt;
+    internal::PricingPipe pipe(sink, watchdog);
+    ASSERT_TRUE(pipe.worker_running());
+    const auto worker_error = capture([&] {
+      for (std::uint32_t i = 0; i < pushed; ++i) pipe.push(numbered(i));
+      pipe.drain();
+    });
+    EXPECT_EQ(worker_error, inline_error) << pushed << " records pushed";
+    EXPECT_EQ(sink.seen_.size(), kThrowAt);
+  }
+}
+
+TEST(PricingWorker, WatchdogFiresWhileTheReplayWaitsOnTheDrain) {
+  const ScopedMode scoped(FrontEndMode::kWorker);
+  const internal::Watchdog watchdog(0.1, "timed run");
+  TestSink sink;
+  sink.delay_ = std::chrono::milliseconds(50);
+  double secs = 0.0;
+  {
+    internal::PricingPipe pipe(sink, watchdog);
+    ASSERT_TRUE(pipe.worker_running());
+    // Far fewer than a ring: push() never waits, so only the drain can time out.
+    for (std::uint32_t i = 0; i < 40; ++i) pipe.push(numbered(i));
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      pipe.drain();
+      ADD_FAILURE() << "drain outlived the watchdog deadline";
+    } catch (const TimeoutError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("watchdog deadline"), std::string::npos) << what;
+      EXPECT_NE(what.find("timed run"), std::string::npos) << what;
+    }
+    secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }  // the pipe stops and joins its worker
+  // Pricing all 40 records takes 2 s; the poll ends the wait long before.
+  EXPECT_LT(secs, 1.5);
+}
+
+TEST(PricingWorker, WatchdogFiresWhileTheReplayWaitsOnAFullRing) {
+  const ScopedMode scoped(FrontEndMode::kWorker);
+  const internal::Watchdog watchdog(0.1, "timed run");
+  TestSink sink;
+  sink.delay_ = std::chrono::milliseconds(1);
+  internal::PricingPipe pipe(sink, watchdog);
+  ASSERT_TRUE(pipe.worker_running());
+  EXPECT_THROW(
+      {
+        for (std::uint32_t i = 0; i < 2 * internal::PricingPipe::kRingRecords; ++i)
+          pipe.push(numbered(i));
+      },
+      TimeoutError);
 }
 
 }  // namespace

@@ -62,13 +62,5 @@ TEST(Sdh, MissCurveIsMonotoneNonIncreasing) {
   }
 }
 
-TEST(Sdh, ClearZeroesEverything) {
-  Sdh sdh(4);
-  sdh.record_hit(2);
-  sdh.record_miss();
-  sdh.clear();
-  EXPECT_EQ(sdh.total(), 0ULL);
-}
-
 }  // namespace
 }  // namespace plrupart::core

@@ -9,6 +9,10 @@
 // job runs this suite as the gate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "plrupart/common/assert.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/sim/timed_memory.hpp"
+#include "plrupart/sim/trace_file.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 
@@ -177,6 +182,28 @@ TEST(TimedSim, TimedCountersAreCoherent) {
   EXPECT_GT(r.wall_cycles, 0.0);
 }
 
+TEST(TimedSim, LargestTraceGapIsChargedInFull) {
+  // A v2 record may carry a gap of 2^32-1 instructions; with its memory op
+  // that is 2^32 instructions, which the timed clock must charge in full
+  // rather than wrap to a gap of zero.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plrupart_timed_gap_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "max_gap.v2.trace").string();
+  constexpr std::uint32_t kMaxGap = std::numeric_limits<std::uint32_t>::max();
+  write_trace_file(path, {{.addr = 0x4000, .write = false, .gap_instrs = kMaxGap}},
+                   TraceFormat::kBinaryV2);
+  SimConfig cfg = small_config({"twolf"}, "NOPART-L", TimingMode::kTimed, 1, 0);
+  std::vector<std::unique_ptr<TraceSource>> traces;
+  traces.push_back(std::make_unique<FileTraceSource>(path));
+  CmpSimulator sim(cfg, std::move(traces));
+  const SimResult r = sim.run();
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(r.threads.size(), 1u);
+  EXPECT_EQ(r.threads[0].instructions, std::uint64_t{1} << 32);
+  EXPECT_GE(r.threads[0].cycles, 0x1p32 / cfg.cores[0].base_ipc);
+}
+
 // ---------------------------------------------------------------------------
 // TimedMemory unit tests: MSHR-full stall, coalescing, writeback backpressure.
 // A tiny one-set geometry (512 B, 4-way, 128 B lines) makes dirty-victim
@@ -321,6 +348,21 @@ TEST(TimedMemory, ValidateRejectsDegenerateParams) {
   p = TimedParams{};
   p.writeback_queue = 0;
   EXPECT_THROW(p.validate(), InvariantError);
+  // The DRAM address mapping is bit slicing: banks and rows are powers of two.
+  for (const std::uint32_t banks : {3U, 6U, 12U}) {
+    p = TimedParams{};
+    p.dram_banks = banks;
+    EXPECT_THROW(p.validate(), InvariantError) << banks << " banks";
+  }
+  for (const std::uint32_t row : {0U, 1000U, 3072U}) {
+    p = TimedParams{};
+    p.row_bytes = row;
+    EXPECT_THROW(p.validate(), InvariantError) << row << " B rows";
+  }
+  p = TimedParams{};
+  p.dram_banks = 1;
+  p.row_bytes = 128;
+  EXPECT_NO_THROW(p.validate());
 }
 
 TEST(TimedMemory, TimingModeStringsRoundTrip) {
