@@ -2,20 +2,40 @@
 //
 // Every run is split in two. The per-core front end (sim/front_end.hpp) runs
 // each core's trace source through its private L1 and hands over one record
-// per op. The back end below does only the shared work: the argmin
-// interleave over core clocks, the shared L2 with its profilers and interval
-// controller, warmup windows, freeze at quota, and pricing. Pricing is the
-// one point where the timing modes differ: FixedLatency charges CoreModel's
-// fixed penalties; TimedPricing additionally runs the event-driven
+// per op. The back end below does only the shared work: the interleave over
+// core clocks, the shared L2 with its profilers and interval controller,
+// warmup windows, freeze at quota, and pricing. Pricing is the one point
+// where the timing modes differ: FixedLatency charges CoreModel's fixed
+// penalties; TimedPricing additionally runs the event-driven
 // MSHR/writeback/banked-DRAM model (TimedMemory) on a second per-core clock,
 // which is what a timed run reports, on a pricing worker once one may start
-// (sim/front_end.hpp). Both see the same interleave (argmin over the
-// FUNCTIONAL clocks) and stamp the L2 with the same `now`, so the shared L2
-// observes the exact same access stream in both modes and the controller
-// takes the same partition decisions at the same accesses.
+// (sim/front_end.hpp). Both see the same interleave (over the FUNCTIONAL
+// clocks) and stamp the L2 with the same `now`, so the shared L2 observes the
+// exact same access stream in both modes and the controller takes the same
+// partition decisions at the same accesses.
+//
+// The interleave merges only significant ops: an L2-reaching op, the op that
+// brings a core to the warmup count (windows closed) or to its quota (windows
+// open), an op whose production threw, and the last op of a full lookahead.
+// An L1 hit changes nothing but its own core's clocks, so the L1 hits in
+// front of a core's next significant op are folded into its clock ahead of
+// the merge, with CoreModel's adds in CoreModel's order, and the core's merge
+// key is its clock at the start of that op. A one-op-at-a-time replay is a
+// merge of the cores' op streams by (start clock, core index) in which each
+// core's start clocks only grow; restricting it to a subset of the ops keeps
+// their order, so the L2 sees the same accesses with the same `now`. Where
+// one op reads every core's state -- the windows opening, the last core
+// freezing, a front-end error being rethrown -- every other core first
+// commits the folded L1 hits that start before that op in the merge order.
+// Timed runs price a core's L1 hits when their run commits, just before the
+// core's next significant op: one record per op on the pricing worker, the
+// whole run at once inline. Either is exact, because an L1 hit touches only
+// its own core's timed clock.
 #include "plrupart/sim/cmp_simulator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <exception>
 #include <string>
 
 #include "plrupart/common/bits.hpp"
@@ -37,6 +57,7 @@ struct FixedLatency {
   FixedLatency(const SimConfig& /*config*/, const internal::Watchdog& /*watchdog*/) {}
   void on_op(std::uint32_t /*core*/, const OpRecord& /*op*/,
              const cache::AccessOutcome& /*l2*/) {}
+  void on_l1_hits(std::uint32_t /*core*/, const OpRecord* /*ops*/, std::size_t /*count*/) {}
   void poll(std::uint64_t /*consumed*/, bool /*front_end_worker_running*/) {}
   void open_window() {}
   void freeze(std::uint32_t /*core*/) {}
@@ -78,6 +99,16 @@ class TimedOverlay final : public internal::PricingSink {
         freeze(r.core);
         break;
     }
+  }
+
+  /// `count` L1 hits of `core` in a row: what on_op adds for each, in order,
+  /// with the clock held in a register.
+  void l1_hits(std::uint32_t core, const OpRecord* ops, std::size_t count) {
+    const CoreModel& model = models_[core];
+    double cycles = cores_[core].cycles;
+    for (std::size_t i = 0; i < count; ++i)
+      cycles += model.gap_cycles(std::uint64_t{ops[i].gap_instrs} + 1);
+    cores_[core].cycles = cycles;
   }
 
   /// Each core's measured-window timed cycles; the window statistics.
@@ -176,6 +207,14 @@ class TimedPricing {
                        .l2_hit = l2.hit,
                        .evicted_valid = l2.evicted_valid});
   }
+  /// Folded L1 hits: one record per op for the worker, priced directly inline.
+  void on_l1_hits(std::uint32_t core, const OpRecord* ops, std::size_t count) {
+    if (!pipe_.worker_running()) {
+      overlay_.l1_hits(core, ops, count);
+      return;
+    }
+    for (std::size_t i = 0; i < count; ++i) on_op(core, ops[i], cache::AccessOutcome{});
+  }
   void poll(std::uint64_t consumed, bool front_end_worker_running) {
     pipe_.maybe_start_worker(consumed, front_end_worker_running);
   }
@@ -206,15 +245,71 @@ class TimedPricing {
   internal::PricingPipe pipe_;
 };
 
+/// Records the back end reads ahead of the merge per core (1 KiB).
+constexpr std::uint32_t kLookahead = 64;
+/// An instruction count no core reaches: no warmup or quota op ahead.
+constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+/// A core's functional clock: what a CoreModel holds, as two plain values
+/// the back end can copy to fold L1 hits ahead of the merge and to settle a
+/// core where a global point falls inside its run.
+struct Clock {
+  double cycles = 0.0;
+  std::uint64_t instructions = 0;
+};
+
+/// Advances a Clock by exactly what CoreModel::commit_gap and commit_mem add,
+/// computed by CoreModel's expressions and added in CoreModel's order, so
+/// every double equals a CoreModel's bit for bit.
+class CoreCharges {
+ public:
+  explicit CoreCharges(const CoreParams& p)
+      : model_(p),
+        mem_issue_(1.0 / p.base_ipc),
+        l2_stall_(p.l2_hit_penalty * p.stall_fraction),
+        mem_stall_(p.mem_penalty * p.stall_fraction) {}
+
+  void commit_gap(Clock& clock, std::uint32_t n) const noexcept {
+    clock.cycles += model_.gap_cycles(n);
+    clock.instructions += n;
+  }
+  void commit_mem(Clock& clock, AccessLevel level) const noexcept {
+    clock.cycles += mem_issue_;
+    if (level == AccessLevel::kL2) clock.cycles += l2_stall_;
+    if (level == AccessLevel::kMemory) clock.cycles += mem_stall_;
+    ++clock.instructions;
+  }
+
+ private:
+  CoreModel model_;  ///< for gap_cycles only
+  double mem_issue_;
+  double l2_stall_;
+  double mem_stall_;
+};
+
+/// One core's records read ahead of the merge. buf[head, sig) are L1 hits
+/// folded into `next`; buf[sig] is the core's next significant op, or the op
+/// whose production threw when `error` is set.
+struct Lookahead {
+  std::array<OpRecord, kLookahead> buf;
+  std::uint32_t head = 0;
+  std::uint32_t sig = 0;
+  std::uint32_t len = 0;  ///< records read into buf
+  std::exception_ptr error;
+  Clock at;    ///< the clock with every op before buf[head] committed
+  Clock next;  ///< the clock at the start of buf[sig]
+};
+
 /// The replay loop: the back end of every run.
 template <class Pricing>
 SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSource>>& traces,
                  MemoryHierarchy& hierarchy) {
   const std::uint32_t n = hierarchy.num_cores();
-  std::vector<CoreModel> models;  // functional clocks: they drive the interleave
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config.cores[i]);
-  std::vector<double> clocks(n, 0.0);  ///< models[i].cycles(), scanned every op
+  std::vector<CoreCharges> charges;
+  charges.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) charges.emplace_back(config.cores[i]);
+  std::vector<Lookahead> ahead(n);
+  std::vector<double> keys(n);  ///< each core's next.cycles: the merge's keys
 
   std::vector<std::string> names(n);
   for (std::uint32_t i = 0; i < n; ++i) names[i] = traces[i]->name();
@@ -238,66 +333,156 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
   Pricing pricing(config, watchdog);
   internal::FrontEnd front(traces, hierarchy, config.faults.get(), watchdog);
 
-  while (remaining > 0) {
-    if ((++ops & 0xfffU) == 0) {
-      if (has_deadline) watchdog.check();
-      pricing.poll(ops, front.worker_running());
+  // Count and price `core`'s folded L1 hits buf[head, end); their clock adds
+  // are already made. (An L1 hit never reaches the L2, so access_shared
+  // ignores `now`.)
+  auto commit_l1_hits = [&](std::uint32_t core, std::uint32_t end) {
+    Lookahead& la = ahead[core];
+    cache::AccessOutcome l2;
+    for (std::uint32_t i = la.head; i < end; ++i)
+      (void)hierarchy.access_shared(core, la.buf[i].addr, la.buf[i].write, true, 0, l2);
+    pricing.on_l1_hits(core, &la.buf[la.head], end - la.head);
+    la.head = end;
+  };
+
+  // Read `core`'s records from its head up to its next significant op: an
+  // L2-reaching op, the op that reaches the warmup count (windows closed) or
+  // the quota (windows open), the op whose production threw, or the last
+  // slot of the lookahead. The L1 hits before it are folded into `next`.
+  auto scan = [&](std::uint32_t core) {
+    Lookahead& la = ahead[core];
+    const CoreCharges& cost = charges[core];
+    const std::uint64_t target =
+        !windows_open ? (warmed[core] != 0 ? kNever : config.warmup_instr)
+                      : (frozen[core] != 0 ? kNever
+                                           : baselines[core].instructions + config.instr_limit);
+    Clock clock = la.at;
+    std::uint32_t i = la.head;
+    for (;; ++i) {
+      if (i == la.len) {
+        if (la.error) break;
+        try {
+          la.buf[i] = front.next(core);
+        } catch (...) {
+          la.error = std::current_exception();  // rethrown only if the merge gets here
+          break;
+        }
+        ++la.len;
+      }
+      const OpRecord& op = la.buf[i];
+      if (!op.l1_hit || clock.instructions + op.gap_instrs + 1 >= target ||
+          i + 1 == kLookahead)
+        break;
+      cost.commit_gap(clock, op.gap_instrs);
+      cost.commit_mem(clock, AccessLevel::kL1);
     }
-    // Advance the core with the smallest local clock, lowest index on ties
-    // (finished cores keep running to preserve contention, with frozen
-    // statistics). Branch-free over a contiguous copy of the clocks.
+    la.sig = i;
+    la.next = clock;
+    keys[core] = clock.cycles;
+  };
+
+  // Commit every other core's folded L1 hits that start before (`start`,
+  // `core`) in the merge order, so all cores stand where a one-op-at-a-time
+  // replay stands at that op. Needed where one op reads every core's state.
+  auto settle_others = [&](std::uint32_t core, double start) {
+    for (std::uint32_t d = 0; d < n; ++d) {
+      if (d == core) continue;
+      Lookahead& la = ahead[d];
+      const CoreCharges& cost = charges[d];
+      std::uint32_t end = la.head;
+      for (; end < la.sig; ++end) {
+        if (la.at.cycles > start || (la.at.cycles == start && d > core)) break;
+        cost.commit_gap(la.at, la.buf[end].gap_instrs);
+        cost.commit_mem(la.at, AccessLevel::kL1);
+      }
+      commit_l1_hits(d, end);
+    }
+  };
+
+  for (std::uint32_t i = 0; i < n; ++i) scan(i);
+  while (remaining > 0) {
+    // Advance the core whose next significant op starts first, lowest index
+    // on ties (finished cores keep running to preserve contention, with
+    // frozen statistics). Each core's start clocks only grow, so this merge
+    // takes the significant ops in the order a merge of all ops would, and
+    // the L2 sees the same access stream. Branch-free over the keys.
     std::uint32_t core = 0;
-    double min_cycles = clocks[0];
+    double min_cycles = keys[0];
     for (std::uint32_t i = 1; i < n; ++i) {
-      const bool earlier = clocks[i] < min_cycles;
-      min_cycles = earlier ? clocks[i] : min_cycles;
+      const bool earlier = keys[i] < min_cycles;
+      min_cycles = earlier ? keys[i] : min_cycles;
       core = earlier ? i : core;
     }
 
-    const OpRecord op = front.next(core);
-    CoreModel& model = models[core];
-    model.commit_gap(op.gap_instrs);
-    const auto now = static_cast<std::uint64_t>(model.cycles());
+    Lookahead& la = ahead[core];
+    const std::uint64_t before = ops;
+    ops += la.sig - la.head + 1;
+    if ((ops >> 12) != (before >> 12)) {
+      if (has_deadline) watchdog.check();
+      pricing.poll(ops, front.worker_running());
+    }
+    commit_l1_hits(core, la.sig);
+    if (la.error) {
+      settle_others(core, min_cycles);
+      std::rethrow_exception(la.error);
+    }
+    const OpRecord& op = la.buf[la.sig];
+    const CoreCharges& cost = charges[core];
+    Clock& clock = la.at;
+    clock = la.next;
+    cost.commit_gap(clock, op.gap_instrs);
+    const auto now = static_cast<std::uint64_t>(clock.cycles);
     cache::AccessOutcome l2;
-    model.commit_mem(hierarchy.access_shared(core, op.addr, op.write, op.l1_hit, now, l2));
-    clocks[core] = model.cycles();
+    cost.commit_mem(clock, hierarchy.access_shared(core, op.addr, op.write, op.l1_hit, now, l2));
     pricing.on_op(core, op, l2);
+    la.head = la.sig + 1;  // records past it remain when a window opened in its run
+    if (la.head == la.len) la.head = la.len = 0;
 
     if (!windows_open) {
       // Windows open for everyone at once, when the slowest core has warmed:
       // at the op that brings the last core to warmup_instr.
-      if (warmed[core] == 0 && model.instructions() >= config.warmup_instr) {
+      if (warmed[core] == 0 && clock.instructions >= config.warmup_instr) {
         warmed[core] = 1;
         ++warmed_cores;
       }
       if (warmed_cores == n) {
         windows_open = true;
+        settle_others(core, min_cycles);
         pricing.open_window();
         for (std::uint32_t i = 0; i < n; ++i) {
-          baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = models[i].cycles();
+          baselines[i].instructions = ahead[i].at.instructions;
+          baselines[i].cycles = ahead[i].at.cycles;
           baselines[i].mem = hierarchy.counters(i);
         }
+        for (std::uint32_t i = 0; i < n; ++i) {
+          if (i != core) scan(i);  // re-fold what is left under the quota rule
+        }
       }
+      scan(core);
       continue;
     }
 
     if (frozen[core] == 0 &&
-        model.instructions() >= baselines[core].instructions + config.instr_limit) {
+        clock.instructions >= baselines[core].instructions + config.instr_limit) {
       frozen[core] = 1;
       --remaining;
       pricing.freeze(core);
       const Baseline& base = baselines[core];
       ThreadResult& r = results[core];
       r.benchmark = names[core];
-      r.instructions = model.instructions() - base.instructions;
-      r.cycles = model.cycles() - base.cycles;
+      r.instructions = clock.instructions - base.instructions;
+      r.cycles = clock.cycles - base.cycles;
       const HierarchyCounters& now_mem = hierarchy.counters(core);
       r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
       r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
       r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
       r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
+      if (remaining == 0) {
+        settle_others(core, min_cycles);  // the run ends here for every core
+        break;
+      }
     }
+    scan(core);
   }
 
   SimResult out;

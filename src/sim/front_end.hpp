@@ -4,9 +4,9 @@
 // Front end. Each core's trace source feeds that core's private L1, and
 // nothing else does: the L1 outcome of a core's k-th op depends only on the
 // core's first k ops. So trace decoding plus the L1 -- more than half of a
-// functional run -- can run ahead of the shared back end (argmin interleave,
-// L2, profilers, controller), which consumes one OpRecord per op in the
-// unchanged interleave order.
+// functional run -- can run ahead of the shared back end (interleave, L2,
+// profilers, controller), which consumes each core's OpRecords in that
+// core's order.
 //
 // Records are produced in blocks into a per-core ring. The replay thread
 // fills blocks itself (inline) until the worker rule lets a worker start.
@@ -19,7 +19,8 @@
 //
 // Errors keep their op: an exception thrown while producing a core's k-th
 // record (a trace-read failure, an injected `worker` fault) is stored with
-// the lane and rethrown on the replay thread when it asks for record k -- the
+// the lane and rethrown on the replay thread when it asks for record k. The
+// back end, which reads a few records ahead, keeps it and rethrows it at the
 // op at which a one-op-at-a-time replay would have thrown -- and never if the
 // run ends first. Both paths therefore produce the same results and the same
 // failures.

@@ -179,7 +179,8 @@ TEST(SweepExecutorStress, CsvByteIdenticalAcrossAllThreadCounts) {
   const auto jobs = stress_matrix().expand();
   std::string reference;
   for (const std::size_t threads : stress_thread_counts()) {
-    const runner::SweepExecutor ex({.threads = threads, .progress = false});
+    const runner::SweepExecutor ex({.threads = threads, .progress = false,
+                                    .journal_dir = {}, .faults = {}});
     const std::string csv = csv_of(ex.run(jobs));
     if (reference.empty()) {
       reference = csv;
@@ -197,7 +198,8 @@ TEST(SweepExecutorStress, ProgressLinesStayWholeUnderOversubscription) {
   // though completion order is nondeterministic.
   const auto jobs = stress_matrix().expand();
   const std::size_t total = jobs.size();
-  const runner::SweepExecutor ex({.threads = 8, .progress = true});
+  const runner::SweepExecutor ex({.threads = 8, .progress = true,
+                                  .journal_dir = {}, .faults = {}});
   ::testing::internal::CaptureStderr();
   const auto results = ex.run(jobs);
   const std::string err = ::testing::internal::GetCapturedStderr();
@@ -227,14 +229,14 @@ TEST(SweepExecutorStress, ProgressLinesStayWholeUnderOversubscription) {
 
 TEST(SweepExecutorStress, ShardRunsMergeToUnshardedBytesAtAnyThreadCount) {
   const auto m = stress_matrix();
-  const runner::SweepExecutor serial({.threads = 1});
+  const runner::SweepExecutor serial({.threads = 1, .journal_dir = {}, .faults = {}});
   const std::string full = csv_of(serial.run(m.expand()));
 
   for (const std::size_t n_shards : {2u, 3u}) {
     // Each shard simulated with its own contended pool, as a fleet would.
     std::vector<std::string> shard_csvs(n_shards);
     for (std::size_t s = 0; s < n_shards; ++s) {
-      const runner::SweepExecutor ex({.threads = 8});
+      const runner::SweepExecutor ex({.threads = 8, .journal_dir = {}, .faults = {}});
       shard_csvs[s] = csv_of(ex.run(m.shard(s, n_shards)));
     }
     std::vector<std::istringstream> streams(shard_csvs.begin(), shard_csvs.end());
@@ -251,7 +253,8 @@ TEST(SweepExecutorStress, ShardRunsMergeToUnshardedBytesAtAnyThreadCount) {
 }
 
 TEST(SweepExecutorStress, EmptyJobListIsANoop) {
-  const runner::SweepExecutor ex({.threads = 8, .progress = true});
+  const runner::SweepExecutor ex({.threads = 8, .progress = true,
+                                  .journal_dir = {}, .faults = {}});
   EXPECT_TRUE(ex.run({}).empty());
 }
 
@@ -265,7 +268,8 @@ TEST(SweepExecutorStress, TimedProgressLinesReportSimulatedCycleRate) {
   m.l2_kb = {128};
   m.timing = sim::TimingMode::kTimed;
   const auto jobs = m.expand();
-  const runner::SweepExecutor ex({.threads = 1, .progress = true});
+  const runner::SweepExecutor ex({.threads = 1, .progress = true,
+                                  .journal_dir = {}, .faults = {}});
   ::testing::internal::CaptureStderr();
   const auto results = ex.run(jobs);
   const std::string err = ::testing::internal::GetCapturedStderr();

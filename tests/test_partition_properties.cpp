@@ -122,8 +122,11 @@ TEST_P(PartitionProperties, MoreTotalWaysNeverIncreasesOptimalCost) {
 }
 
 std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_w" +
-         std::to_string(std::get<1>(info.param));
+  std::string name = "n";
+  name += std::to_string(std::get<0>(info.param));
+  name += "_w";
+  name += std::to_string(std::get<1>(info.param));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

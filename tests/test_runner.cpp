@@ -24,6 +24,11 @@
 namespace plrupart {
 namespace {
 
+/// A sweep on `threads` workers, every other option at its default.
+runner::SweepExecutor executor(std::size_t threads) {
+  return runner::SweepExecutor({.threads = threads, .journal_dir = {}, .faults = {}});
+}
+
 /// A configs × workloads × sizes matrix small enough to simulate in tests.
 runner::RunMatrix small_matrix() {
   runner::RunMatrix m;
@@ -148,7 +153,7 @@ TEST(SweepExecutor, MergedShardCsvsEqualTheUnshardedRun) {
 
   std::vector<std::string> shard_csvs;
   for (std::size_t i = 0; i < 2; ++i) {
-    const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(i, 2));
+    const auto results = executor(2).run(m.shard(i, 2));
     std::ostringstream os;
     runner::write_csv(os, results);
     shard_csvs.push_back(os.str());
@@ -162,7 +167,7 @@ TEST(SweepExecutor, MergedShardCsvsEqualTheUnshardedRun) {
 
 TEST(MergeCsv, RejectsDuplicateJobKeys) {
   const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(0, 2));
+  const auto results = executor(2).run(m.shard(0, 2));
   std::ostringstream os;
   runner::write_csv(os, results);
   std::istringstream a(os.str()), b(os.str());
@@ -175,7 +180,7 @@ TEST(MergeCsv, RejectsDuplicatedPerCoreBlockWithinOneShard) {
   // job's whole core block; adjacent-pair checks alone would miss it because
   // consecutive cores still differ (0,1,0,1).
   const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 1}).run(m.expand());
+  const auto results = executor(1).run(m.expand());
   std::ostringstream os;
   runner::write_csv(os, results);
   const auto csv = os.str();
@@ -244,7 +249,7 @@ TEST_F(TraceBackedMatrixTest, CsvIsByteIdenticalAcrossThreadCountsAndShardMerges
 
   std::vector<std::string> shard_csvs;
   for (std::size_t i = 0; i < 2; ++i) {
-    const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(i, 2));
+    const auto results = executor(2).run(m.shard(i, 2));
     std::ostringstream os;
     runner::write_csv(os, results);
     shard_csvs.push_back(os.str());
@@ -300,7 +305,7 @@ TEST(MergeCsv, RejectsHeaderMismatchAndMissingShards) {
 
   // A lone shard 1/2 is missing job 0 -> incomplete shard set.
   const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(1, 2));
+  const auto results = executor(2).run(m.shard(1, 2));
   std::ostringstream os;
   runner::write_csv(os, results);
   std::istringstream lonely(os.str());
