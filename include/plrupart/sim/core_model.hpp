@@ -55,44 +55,53 @@ class PLRUPART_EXPORT CoreModel {
     return n <= kGapTableMax ? gap_table_[n] : static_cast<double>(n) / params_.base_ipc;
   }
 
-  /// Commit `n` non-memory instructions.
-  void commit_gap(std::uint32_t n) noexcept {
-    cycles_ += gap_cycles(n);
-    instructions_ += n;
+  /// A core's position: what the model's commits advance. Plain values, so a
+  /// caller can keep its own copy and advance it with the const commits below.
+  struct Clock {
+    double cycles = 0.0;
+    std::uint64_t instructions = 0;
+  };
+
+  /// Commit `n` non-memory instructions to `clock`.
+  void commit_gap(Clock& clock, std::uint32_t n) const noexcept {
+    clock.cycles += gap_cycles(n);
+    clock.instructions += n;
   }
 
-  /// Commit one memory instruction satisfied at `level`.
-  void commit_mem(AccessLevel level) noexcept {
-    cycles_ += mem_issue_;
+  /// Commit one memory instruction satisfied at `level` to `clock`.
+  void commit_mem(Clock& clock, AccessLevel level) const noexcept {
+    clock.cycles += mem_issue_;
     switch (level) {
       case AccessLevel::kL1:
         break;  // pipelined L1 hit
       case AccessLevel::kL2:
-        cycles_ += l2_stall_;
+        clock.cycles += l2_stall_;
         break;
       case AccessLevel::kMemory:
-        cycles_ += mem_stall_;
+        clock.cycles += mem_stall_;
         break;
     }
-    ++instructions_;
+    ++clock.instructions;
   }
 
-  [[nodiscard]] double cycles() const noexcept { return cycles_; }
-  [[nodiscard]] std::uint64_t instructions() const noexcept { return instructions_; }
+  /// Commit `n` non-memory instructions.
+  void commit_gap(std::uint32_t n) noexcept { commit_gap(clock_, n); }
+
+  /// Commit one memory instruction satisfied at `level`.
+  void commit_mem(AccessLevel level) noexcept { commit_mem(clock_, level); }
+
+  [[nodiscard]] double cycles() const noexcept { return clock_.cycles; }
+  [[nodiscard]] std::uint64_t instructions() const noexcept { return clock_.instructions; }
   [[nodiscard]] double ipc() const noexcept {
-    return cycles_ > 0.0 ? static_cast<double>(instructions_) / cycles_ : 0.0;
+    return clock_.cycles > 0.0 ? static_cast<double>(clock_.instructions) / clock_.cycles : 0.0;
   }
   [[nodiscard]] const CoreParams& params() const noexcept { return params_; }
 
-  void reset() noexcept {
-    cycles_ = 0.0;
-    instructions_ = 0;
-  }
+  void reset() noexcept { clock_ = Clock{}; }
 
  private:
   CoreParams params_;
-  double cycles_ = 0.0;
-  std::uint64_t instructions_ = 0;
+  Clock clock_;
   double mem_issue_ = 0.0;  ///< 1 / base_ipc
   double l2_stall_ = 0.0;   ///< l2_hit_penalty * stall_fraction
   double mem_stall_ = 0.0;  ///< mem_penalty * stall_fraction

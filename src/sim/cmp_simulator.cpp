@@ -250,46 +250,14 @@ constexpr std::uint32_t kLookahead = 64;
 /// An instruction count no core reaches: no warmup or quota op ahead.
 constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-/// A core's functional clock: what a CoreModel holds, as two plain values
-/// the back end can copy to fold L1 hits ahead of the merge and to settle a
-/// core where a global point falls inside its run.
-struct Clock {
-  double cycles = 0.0;
-  std::uint64_t instructions = 0;
-};
-
-/// Advances a Clock by exactly what CoreModel::commit_gap and commit_mem add,
-/// computed by CoreModel's expressions and added in CoreModel's order, so
-/// every double equals a CoreModel's bit for bit.
-class CoreCharges {
- public:
-  explicit CoreCharges(const CoreParams& p)
-      : model_(p),
-        mem_issue_(1.0 / p.base_ipc),
-        l2_stall_(p.l2_hit_penalty * p.stall_fraction),
-        mem_stall_(p.mem_penalty * p.stall_fraction) {}
-
-  void commit_gap(Clock& clock, std::uint32_t n) const noexcept {
-    clock.cycles += model_.gap_cycles(n);
-    clock.instructions += n;
-  }
-  void commit_mem(Clock& clock, AccessLevel level) const noexcept {
-    clock.cycles += mem_issue_;
-    if (level == AccessLevel::kL2) clock.cycles += l2_stall_;
-    if (level == AccessLevel::kMemory) clock.cycles += mem_stall_;
-    ++clock.instructions;
-  }
-
- private:
-  CoreModel model_;  ///< for gap_cycles only
-  double mem_issue_;
-  double l2_stall_;
-  double mem_stall_;
-};
+using Clock = CoreModel::Clock;
 
 /// One core's records read ahead of the merge. buf[head, sig) are L1 hits
-/// folded into `next`; buf[sig] is the core's next significant op, or the op
-/// whose production threw when `error` is set.
+/// folded into `next`; buf[sig] is the core's next significant op. When
+/// sig == len it is the op whose production threw: `error`, read ahead of
+/// the merge. A set `error` may sit behind a significant op (a quota op
+/// among hits that were folded before the windows opened); it is rethrown
+/// only once the ops in front of it are taken.
 struct Lookahead {
   std::array<OpRecord, kLookahead> buf;
   std::uint32_t head = 0;
@@ -305,9 +273,9 @@ template <class Pricing>
 SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSource>>& traces,
                  MemoryHierarchy& hierarchy) {
   const std::uint32_t n = hierarchy.num_cores();
-  std::vector<CoreCharges> charges;
-  charges.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) charges.emplace_back(config.cores[i]);
+  std::vector<CoreModel> models;  ///< the charges; each core's clock is in `ahead`
+  models.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config.cores[i]);
   std::vector<Lookahead> ahead(n);
   std::vector<double> keys(n);  ///< each core's next.cycles: the merge's keys
 
@@ -351,7 +319,7 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
   // slot of the lookahead. The L1 hits before it are folded into `next`.
   auto scan = [&](std::uint32_t core) {
     Lookahead& la = ahead[core];
-    const CoreCharges& cost = charges[core];
+    const CoreModel& cost = models[core];
     const std::uint64_t target =
         !windows_open ? (warmed[core] != 0 ? kNever : config.warmup_instr)
                       : (frozen[core] != 0 ? kNever
@@ -388,7 +356,7 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
     for (std::uint32_t d = 0; d < n; ++d) {
       if (d == core) continue;
       Lookahead& la = ahead[d];
-      const CoreCharges& cost = charges[d];
+      const CoreModel& cost = models[d];
       std::uint32_t end = la.head;
       for (; end < la.sig; ++end) {
         if (la.at.cycles > start || (la.at.cycles == start && d > core)) break;
@@ -422,12 +390,12 @@ SimResult replay(const SimConfig& config, std::vector<std::unique_ptr<TraceSourc
       pricing.poll(ops, front.worker_running());
     }
     commit_l1_hits(core, la.sig);
-    if (la.error) {
+    if (la.sig == la.len) {  // the op whose production threw
       settle_others(core, min_cycles);
       std::rethrow_exception(la.error);
     }
     const OpRecord& op = la.buf[la.sig];
-    const CoreCharges& cost = charges[core];
+    const CoreModel& cost = models[core];
     Clock& clock = la.at;
     clock = la.next;
     cost.commit_gap(clock, op.gap_instrs);

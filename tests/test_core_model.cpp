@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace plrupart::sim {
 namespace {
 
@@ -57,6 +60,21 @@ TEST(CoreModel, ResetZeroesState) {
   EXPECT_DOUBLE_EQ(m.cycles(), 0.0);
   EXPECT_EQ(m.instructions(), 0ULL);
   EXPECT_DOUBLE_EQ(m.ipc(), 0.0);
+}
+
+TEST(CoreModel, ExternalClockAdvancesExactlyLikeTheModel) {
+  CoreModel m(CoreParams{.base_ipc = 3.0, .stall_fraction = 0.3});
+  CoreModel::Clock clock;
+  const AccessLevel levels[] = {AccessLevel::kL1, AccessLevel::kL2, AccessLevel::kMemory};
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const std::uint32_t gap = i % 7 == 0 ? 1000 + i : i % 5;
+    m.commit_gap(gap);
+    m.commit_mem(levels[i % 3]);
+    std::as_const(m).commit_gap(clock, gap);
+    std::as_const(m).commit_mem(clock, levels[i % 3]);
+  }
+  EXPECT_EQ(clock.cycles, m.cycles());  // bit for bit, not approximately
+  EXPECT_EQ(clock.instructions, m.instructions());
 }
 
 TEST(CoreParams, ValidationRejectsNonsense) {

@@ -275,22 +275,6 @@ TEST(FrontEnd, TraceErrorSurfacesAtExactlyItsOpOnBothPaths) {
           << "fail_at=" << fail_at << " core " << c;
     expect_same(a, b, "fail_at=" + std::to_string(fail_at));
   }
-  // With Table II's 32 KiB L1 most ops are L1 hits, and the failing op often
-  // starts inside another core's run of them, which the replay must settle
-  // before it rethrows.
-  SimConfig big_l1 = cfg;
-  big_l1.hierarchy.l1d =
-      cache::Geometry{.size_bytes = 32 * 1024, .associativity = 2, .line_bytes = 128};
-  for (std::uint64_t fail_at = consumed / 2; fail_at < consumed / 2 + 120; fail_at += 6) {
-    const auto a = run(FrontEndMode::kInline, big_l1, failing_traces(fail_at));
-    const auto b = run(FrontEndMode::kWorker, big_l1, failing_traces(fail_at));
-    const testing::ReferenceRun ref = testing::reference_replay(big_l1, failing_traces(fail_at));
-    EXPECT_EQ(a.error, ref.error) << "32 KiB L1, fail_at=" << fail_at;
-    for (std::size_t c = 0; c < a.counters.size(); ++c)
-      EXPECT_EQ(a.counters[c].l1_accesses, ref.counters[c].l1_accesses)
-          << "32 KiB L1, fail_at=" << fail_at << " core " << c;
-    expect_same(a, b, "32 KiB L1, fail_at=" + std::to_string(fail_at));
-  }
   // The failing op lies past the end of the run: no error at all, even though
   // the front end may have produced (and failed on) it ahead of the replay.
   for (const std::uint64_t fail_at : {consumed, consumed + 5, consumed + 300}) {

@@ -151,6 +151,22 @@ Traces script_traces(SimConfig& cfg, std::uint32_t cores,
   return traces;
 }
 
+/// Each core loops over `lines` lines of its own region, so after its first
+/// few ops every op is an L1 hit, on cores whose base IPCs differ a little:
+/// one core warms and reads far ahead while another is still warming.
+Traces hot_traces(SimConfig& cfg, std::uint32_t cores, std::uint32_t lines) {
+  Traces traces;
+  cfg.cores.clear();
+  for (std::uint32_t i = 0; i < cores; ++i) {
+    CoreParams params;
+    params.base_ipc = 2.0 - 0.05 * i;
+    cfg.cores.push_back(params);
+    traces.push_back(std::make_unique<LoopSource>(
+        script(cache::Addr{i + 1} << 28, lines, 1, {0, 1, 0}, 211), "hot" + std::to_string(i)));
+  }
+  return traces;
+}
+
 struct Outcome {
   SimResult result;
   std::vector<HierarchyCounters> counters;
@@ -216,18 +232,20 @@ void expect_matches(const testing::ReferenceRun& want, const Outcome& got,
     expect_counters_eq(want.counters[c], got.counters[c], ctx + " final core " + std::to_string(c));
 }
 
-/// Checks `make()`'s traces under `cfg` on both paths against the reference.
+/// Checks `make()`'s traces under `cfg` on both paths against the reference;
+/// returns the reference run.
 template <class MakeTraces>
-void check(const SimConfig& cfg, MakeTraces make, const std::string& ctx) {
+testing::ReferenceRun check(const SimConfig& cfg, MakeTraces make, const std::string& ctx) {
   SimConfig ref_cfg = cfg;
   const Traces ref_traces = make(ref_cfg);
-  const testing::ReferenceRun want = testing::reference_replay(ref_cfg, ref_traces);
+  testing::ReferenceRun want = testing::reference_replay(ref_cfg, ref_traces);
   for (const FrontEndMode mode : {FrontEndMode::kInline, FrontEndMode::kWorker}) {
     SimConfig run_cfg = cfg;
     Traces traces = make(run_cfg);
     expect_matches(want, simulate(mode, run_cfg, std::move(traces)),
                    ctx + (mode == FrontEndMode::kInline ? " inline" : " worker"));
   }
+  return want;
 }
 
 std::string describe(std::uint32_t cores, TimingMode mode, std::uint64_t instr,
@@ -333,10 +351,36 @@ TEST(ReplayOracle, TraceErrorsBeforeAndAfterTheEndOfTheRun) {
         };
         const std::string ctx = std::string(use_scripts ? "scripts " : "catalog ") +
                                 to_string(mode) + " fail_at " + std::to_string(fail_at);
-        SimConfig probe_cfg = cfg;
-        const testing::ReferenceRun want = testing::reference_replay(probe_cfg, make(probe_cfg));
-        EXPECT_EQ(want.error.empty(), fail_at >= consumed) << ctx;
-        check(cfg, make, ctx);
+        EXPECT_EQ(check(cfg, make, ctx).error.empty(), fail_at >= consumed) << ctx;
+      }
+    }
+  }
+}
+
+TEST(ReplayOracle, TraceErrorReadAheadBeforeTheWindowsOpen) {
+  // A core that has warmed while the windows are still closed reads up to a
+  // lookahead of L1 hits ahead, and may read its failing op there. When
+  // another core then opens the windows, the first core's quota op can lie
+  // among those hits, in front of the failing op: the run must take it and
+  // freeze the core, and fail only if the merge reaches the failing op.
+  for (const std::uint32_t cores : {2U, 4U}) {
+    for (const TimingMode mode : {TimingMode::kFunctional, TimingMode::kTimed}) {
+      for (const auto& [instr, warmup] : kSmallWindows) {
+        if (warmup == 0) continue;
+        const SimConfig cfg = config_for(cores, "M-BT", mode, instr, warmup);
+        for (std::uint32_t failing = 0; failing < cores; ++failing) {
+          for (std::uint64_t fail_at = warmup; fail_at < warmup + 12; ++fail_at) {
+            const auto make = [&](SimConfig& c) {
+              Traces traces = hot_traces(c, cores, 2);
+              traces[failing] =
+                  std::make_unique<FailingSource>(std::move(traces[failing]), fail_at);
+              return traces;
+            };
+            check(cfg, make,
+                  "hot " + describe(cores, mode, instr, warmup) + " core " +
+                      std::to_string(failing) + " fail_at " + std::to_string(fail_at));
+          }
+        }
       }
     }
   }
